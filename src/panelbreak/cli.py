@@ -239,7 +239,7 @@ def _cmd_detect(args) -> int:
         )
     if wald.reject_sw:
         breaks = sequential_breaks(
-            panel, spec, hac, args.alpha, max_breaks=args.max_breaks
+            panel, spec, hac, args.alpha, max_breaks=args.max_breaks, full_sample_wald=wald
         )
         stages["breaks"] = [
             {

@@ -68,20 +68,22 @@ def projection_columns(panel: PanelData, spec: BreakSpec, b: int, mode: Projecto
 class CceFit:
     """Partialled CCE regression at a single candidate date.
 
-    ``residuals`` and ``z_partialled`` are stored in N x T (x r) layout;
+    ``residuals`` and ``z_partialled`` are indexed N x T (x r);
     ``z_partialled`` holds the rows of M_X̃ Z̃(b), which is what the HAC
-    covariance estimator consumes.
+    covariance estimator consumes. ``beta`` is the slope on X̃ in the
+    joint fit, ``y_ss`` is ỹ'ỹ and ``design_gram`` is W̃'W̃ for the
+    projected design W̃ = (X̃, Z̃(b)).
     """
 
     break_date: int
     mode: ProjectorMode
     delta: np.ndarray
+    beta: np.ndarray
     residuals: np.ndarray
     z_partialled: np.ndarray
     ssr: float
-    x_stacked: np.ndarray
-    z_stacked: np.ndarray
-    y_stacked: np.ndarray
+    y_ss: float
+    design_gram: np.ndarray
 
 
 def cce_fit(panel: PanelData, spec: BreakSpec, b: int, mode: ProjectorMode) -> CceFit:
@@ -126,22 +128,152 @@ def cce_fit(panel: PanelData, spec: BreakSpec, b: int, mode: ProjectorMode) -> C
         raise RankDeficientDesign(msg)
     eps = ry - rz @ delta
     ssr = compensated_sum_of_squares(eps)
+    ws = np.column_stack([xs, zs])
     return CceFit(
         break_date=b,
         mode=mode,
         delta=delta,
+        beta=coef_y[:, 0] - coef_y[:, 1:] @ delta,
         residuals=eps.reshape(n, t),
         z_partialled=rz.reshape(n, t, r),
         ssr=ssr,
-        x_stacked=xs,
-        z_stacked=zs,
-        y_stacked=ys,
+        y_ss=float(ys @ ys),
+        design_gram=ws.T @ ws,
     )
 
 
 def ssr_at(panel: PanelData, spec: BreakSpec, b: int, mode: ProjectorMode = ProjectorMode.ESTIMATION) -> float:
     """Sum of squared CCE residuals at candidate date ``b``."""
     return cce_fit(panel, spec, b, mode).ssr
+
+
+# ---------------------------------------------------------------------------
+# Profile engine: the fits at every candidate date of one panel, with the
+# work that does not depend on b done once. Normal equations lose accuracy
+# where the orthogonal solve in cce_fit does not, so any candidate on which
+# the two could decide differently is handed to cce_fit: a Gram matrix that
+# is ill-conditioned or small against the data it came from, a near-exact
+# fit, or a near-tie for the minimum SSR.
+
+_GUARD_COND = 1e8  # largest condition number of a Gram matrix solved directly
+_GUARD_FLOOR = 1e-8  # smallest eigenvalue, or SSR, relative to its data's sum of squares
+_GUARD_TIE = 1e-10  # relative gap below which two SSR values count as tied
+
+
+def _trusted(gram: np.ndarray, scale) -> np.ndarray:
+    """Whether normal equations on ``gram`` (or a stack of them) are safe."""
+    vals = np.linalg.eigvalsh(gram)
+    low, high = vals[..., 0], vals[..., -1]
+    return (low >= _GUARD_FLOOR * np.asarray(scale)) & (high <= _GUARD_COND * low)
+
+
+def _suffix_sums(per_period: np.ndarray, dates, axis: int = 0) -> np.ndarray:
+    """Sums over the periods t > b of per-period terms, for each date b."""
+    flipped = np.flip(per_period, axis=axis)
+    return np.take(np.flip(np.cumsum(flipped, axis=axis), axis=axis), dates, axis=axis)
+
+
+def _estimation_ssrs(panel: PanelData, spec: BreakSpec, dates: "list[int]") -> "list[float]":
+    """SSR(b) for every date, from suffix sums of per-period cross-products.
+
+    The ESTIMATION projector Q on span(D, X̄) does not depend on b, so y
+    and X are partialled once: ry = M_X̃ ỹ. With Z(b) = XR 1(t > b),
+    rz'ry = Z'ry, Z̃'X̃ = Z'X̃ and Z̃'Z̃ = Z'Z - sum_i (Q'z_i)'(Q'z_i) are
+    suffix sums over t, and SSR(b) = ry'ry - g'A^{-1}g with g = rz'ry and
+    A = rz'rz.
+    """
+    n, t, k = panel.x.shape
+    x = panel.x
+    q = Projector.from_columns(
+        projection_columns(panel, spec, dates[0], ProjectorMode.ESTIMATION), t
+    ).q
+    yt = panel.y - (panel.y @ q) @ q.T
+    xt = x - q @ (q.T @ x)
+    sxx = np.einsum("itk,itl->kl", xt, xt)
+    if not _trusted(sxx, np.sum(x * x)):
+        return [cce_fit(panel, spec, b, ProjectorMode.ESTIMATION).ssr for b in dates]
+    ry = yt - xt @ np.linalg.solve(sxx, np.einsum("itk,it->k", xt, yt))
+    z = x @ spec.selection
+    g = _suffix_sums(np.einsum("itr,it->tr", z, ry), dates)
+    zx = _suffix_sums(np.einsum("itr,itk->trk", z, xt), dates)
+    zz = _suffix_sums(np.einsum("itr,its->trs", z, z), dates)
+    qz = _suffix_sums(q[:, :, None] * z[:, :, None, :], dates, axis=1)
+    sxx_inv_xz = np.linalg.solve(sxx, zx.reshape(-1, k).T).reshape(k, len(dates), -1)
+    gram = zz - np.einsum("ibqr,ibqs->brs", qz, qz) - np.einsum("brk,kbs->brs", zx, sxx_inv_xz)
+    gram = 0.5 * (gram + gram.transpose(0, 2, 1))
+    trusted = _trusted(gram, np.trace(zz, axis1=1, axis2=2))
+    ssr = np.full(len(dates), np.nan)
+    fit_term = np.linalg.solve(gram[trusted], g[trusted][..., None])[..., 0]
+    ssr[trusted] = compensated_sum_of_squares(ry) - np.einsum("br,br->b", g[trusted], fit_term)
+    reference = ~(ssr > _GUARD_FLOOR * np.sum(yt * yt))  # also catches the NaNs
+    values = ssr.tolist()
+    for j in np.flatnonzero(reference):
+        values[j] = cce_fit(panel, spec, dates[j], ProjectorMode.ESTIMATION).ssr
+    low = min(values)
+    tied = [j for j, v in enumerate(values) if v <= low + _GUARD_TIE * abs(low)]
+    if len(tied) > 1:
+        for j in tied:
+            if not reference[j]:
+                values[j] = cce_fit(panel, spec, dates[j], ProjectorMode.ESTIMATION).ssr
+    return values
+
+
+class TestingProfile:
+    """TESTING-mode fits at the candidate dates of one panel.
+
+    [y, X, XR] is laid out time-major once. At each date the projector
+    Q_b comes from ``Projector.from_columns`` (the same rank cutoffs as
+    ``cce_fit``), two thin products project the data, and the Frisch-Waugh
+    solves run on the (1+k+r) x (1+k+r) Gram matrix. ``fit`` returns None
+    where a guard leaves the decision to ``cce_fit``.
+    """
+
+    def __init__(self, panel: PanelData, spec: BreakSpec):
+        z = panel.x @ spec.selection
+        self.panel, self.spec = panel, spec
+        self._data = np.ascontiguousarray(
+            np.concatenate([panel.y[:, :, None], panel.x, z], axis=2).transpose(1, 0, 2)
+        )
+        self._x_ss = np.sum(panel.x * panel.x)
+        self._z_ss = np.flip(np.cumsum(np.flip(np.sum(z * z, axis=(0, 2)))))
+
+    def fit(self, b: int) -> "CceFit | None":
+        panel, spec = self.panel, self.spec
+        n, t, k = panel.x.shape
+        r = spec.n_breaking
+        xs, zs = slice(1, 1 + k), slice(1 + k, None)
+        q = Projector.from_columns(projection_columns(panel, spec, b, ProjectorMode.TESTING), t).q
+        work = self._data.copy()
+        work[:b, :, zs] = 0.0
+        flat = work.reshape(t, -1)
+        flat -= q @ (q.T @ flat)
+        rows = work.reshape(n * t, -1)
+        gram = rows.T @ rows
+        if not _trusted(gram[xs, xs], self._x_ss):
+            return None
+        coef = np.linalg.solve(gram[xs, xs], gram[xs, :])
+        part = gram - gram[:, xs] @ coef
+        rzz = 0.5 * (part[zs, zs] + part[zs, zs].T)
+        if not _trusted(rzz, self._z_ss[b]):
+            return None
+        delta = np.linalg.solve(rzz, part[zs, 0])
+        beta = coef[:, 0] - coef[:, zs] @ delta
+        resid = rows @ np.concatenate(([1.0], -beta, -delta))
+        ssr = float(resid @ resid)
+        if not ssr > _GUARD_FLOOR * gram[0, 0]:
+            return None
+        rz = rows[:, zs] - rows[:, xs] @ coef[:, zs]
+        return CceFit(
+            break_date=b,
+            mode=ProjectorMode.TESTING,
+            delta=delta,
+            beta=beta,
+            residuals=resid.reshape(t, n).T,
+            z_partialled=rz.reshape(t, n, r).transpose(1, 0, 2),
+            ssr=ssr,
+            y_ss=float(gram[0, 0]),
+            design_gram=gram[1:, 1:],
+        )
 
 
 @dataclass(frozen=True)
@@ -161,14 +293,15 @@ def estimate_breakpoint(panel: PanelData, spec: BreakSpec) -> SsrProfile:
     """Profile SSR(b) over B = [r, T-r-1]; the estimate is the first argmin.
 
     Ties are broken towards the smallest date, a deterministic choice
-    needed for reproducibility.
+    needed for reproducibility. The values come from the profile engine;
+    ``ssr_at`` is the reference for each of them.
     """
     candidates = estimation_candidates(spec, panel.n_periods)
     if not candidates:
         raise EmptyCandidateSet(
             f"no estimation candidates for T={panel.n_periods}, r={spec.n_breaking}"
         )
-    ssrs = [cce_fit(panel, spec, b, ProjectorMode.ESTIMATION).ssr for b in candidates]
+    ssrs = _estimation_ssrs(panel, spec, candidates)
     argmin = int(np.argmin(ssrs))  # np.argmin returns the first minimum
     return SsrProfile(
         candidate_dates=tuple(candidates),
@@ -187,7 +320,7 @@ def moment_estimates(panel: PanelData, fit: CceFit):
     n, t, _ = panel.x.shape
     gram = np.einsum("itp,itq->ipq", panel.x, panel.x)
     omega = gram.sum(axis=0) / (n * t)
-    sigma_i = np.array([compensated_sum_of_squares(fit.residuals[i]) / t for i in range(n)])
+    sigma_i = np.einsum("it,it->i", fit.residuals, fit.residuals) / t
     phi = np.einsum("i,ipq->pq", sigma_i, gram) / (n * t)
     return omega, phi, sigma_i
 
@@ -252,18 +385,26 @@ def confidence_interval(
     -------
     (lower, upper, clamped) with endpoints clamped to [1, T-1].
     """
-    if not (0.0 < alpha <= 1.0):
-        raise InputError("alpha must lie in (0, 1]")
+    _check_alpha(alpha)
     if fit is None or fit.break_date != b_hat or fit.mode is not ProjectorMode.ESTIMATION:
         fit = cce_fit(panel, spec, b_hat, ProjectorMode.ESTIMATION)
+    omega, phi, _ = moment_estimates(panel, fit)
+    return _interval(panel, spec, b_hat, alpha, c_alpha, fit.delta, omega, phi)
+
+
+def _check_alpha(alpha: float) -> None:
+    if not (0.0 < alpha <= 1.0):
+        raise InputError("alpha must lie in (0, 1]")
+
+
+def _interval(panel, spec, b_hat, alpha, c_alpha, delta, omega, phi):
     if c_alpha is None:
         from .limits import argmax_quantile
 
         c_alpha = argmax_quantile(1.0 - alpha / 2.0)
-    omega, phi, _ = moment_estimates(panel, fit)
-    if not np.any(fit.delta):
+    if not np.any(delta):
         raise ZeroBreakMagnitude("estimated break size is zero; interval is infinite")
-    w = interval_half_width(fit.delta, spec.selection, omega, phi, panel.n_units, c_alpha)
+    w = interval_half_width(delta, spec.selection, omega, phi, panel.n_units, c_alpha)
     lower, upper = b_hat - w, b_hat + w
     t_max = panel.n_periods - 1
     clamped = lower < 1 or upper > t_max
@@ -276,24 +417,18 @@ def estimate_theta(panel: PanelData, spec: BreakSpec, b: int):
     Uses the TESTING-mode projection (the break-interacted proxies must
     be projected out for the slope estimator to be asymptotically
     normal). The covariance is the unit-clustered sandwich
-    (W̃'W̃)^{-1} [sum_i W̃_i' e_i e_i' W̃_i] (W̃'W̃)^{-1}.
+    (W̃'W̃)^{-1} [sum_i W̃_i' e_i e_i' W̃_i] (W̃'W̃)^{-1}. By Frisch-Waugh
+    theta and e come from ``cce_fit``, whose rank checks on X̃ and on
+    M_X̃ Z̃(b) together are the rank condition on W̃. The residuals lie in
+    the range of the projection, so W̃_i' e_i = W_i' e_i with the raw W.
     """
-    n, t, k = panel.x.shape
-    r = spec.n_breaking
     fit = cce_fit(panel, spec, b, ProjectorMode.TESTING)
-    ws = np.hstack([fit.x_stacked, fit.z_stacked])
-    theta, _, _, s_w = np.linalg.lstsq(ws, fit.y_stacked, rcond=None)
-    rank = _scaled_rank(s_w, ws.shape, np.linalg.norm(panel.x))
-    if rank < k + r:
-        raise RankConditionFailure(
-            f"joint projected design has rank {rank} < {k + r} at b={b}"
-        )
-    resid = (fit.y_stacked - ws @ theta).reshape(n, t)
-    w_blocks = ws.reshape(n, t, k + r)
-    bread = np.linalg.inv(ws.T @ ws)
-    scores = np.einsum("itp,it->ip", w_blocks, resid)
-    meat = scores.T @ scores
-    cov = bread @ meat @ bread
+    theta = np.concatenate([fit.beta, fit.delta])
+    w = np.concatenate([panel.x, z_regressors(panel, spec, b)], axis=2)
+    scores = np.einsum("itp,it->ip", w, fit.residuals)
+    gram = fit.design_gram
+    half = np.linalg.solve(gram, scores.T @ scores)
+    cov = np.linalg.solve(gram, half.T).T
     return theta, cov
 
 
@@ -308,9 +443,8 @@ def fit_break(
     b_hat = profile.b_hat
     fit = cce_fit(panel, spec, b_hat, ProjectorMode.ESTIMATION)
     omega, phi, sigma_i = moment_estimates(panel, fit)
-    lower, upper, clamped = confidence_interval(
-        panel, spec, b_hat, alpha, c_alpha=c_alpha, fit=fit
-    )
+    _check_alpha(alpha)
+    lower, upper, clamped = _interval(panel, spec, b_hat, alpha, c_alpha, fit.delta, omega, phi)
     theta, cov = estimate_theta(panel, spec, b_hat)
     return BreakFit(
         b_hat=b_hat,

@@ -21,7 +21,7 @@ from enum import Enum
 from importlib import resources
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.special import gammaincinv
 
 from .exceptions import HorizonNotConverged, InputError
 
@@ -93,8 +93,12 @@ def _table_key(law, params, grid_step, n_paths, seed):
 
 
 def chi_squared_quantile(r: int, prob: float) -> float:
-    """Quantile of the chi-squared law with r degrees of freedom."""
-    return float(chi2.ppf(prob, df=r))
+    """Quantile of the chi-squared law with r degrees of freedom.
+
+    The chi-squared(r) law is Gamma(r/2, 2), so this is the expression
+    ``scipy.stats.chi2.ppf`` evaluates, without importing ``scipy.stats``.
+    """
+    return float(2.0 * gammaincinv(r / 2.0, prob))
 
 
 # ---------------------------------------------------------------------------

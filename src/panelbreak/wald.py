@@ -9,12 +9,12 @@ tested.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
 
-from .estimator import CceFit, ProjectorMode, cce_fit, fit_break, BreakFit
+from .estimator import BreakFit, CceFit, ProjectorMode, TestingProfile, cce_fit, fit_break
 from .exceptions import (
     EmptyCandidateSet,
     InputError,
@@ -74,11 +74,14 @@ def _invert_psd(mat: np.ndarray, floor_scale: float) -> np.ndarray:
 
 
 def delta_covariance(fit: CceFit, hac: HacConfig) -> np.ndarray:
-    """Sandwich covariance of the break-size estimate at one date."""
+    """Sandwich covariance of the break-size estimate at one date.
+
+    The scores e_it z_it are laid out time-major, so each lag's
+    autocovariance is one product of two contiguous row blocks.
+    """
     n, t, r = fit.z_partialled.shape
     nt = n * t
     zt = fit.z_partialled
-    eps = fit.residuals
     omega = np.einsum("itp,itq->pq", zt, zt) / nt
     floor = 1e-12 * max(np.trace(omega), np.finfo(float).tiny) / r
     omega_inv = _invert_psd(omega, floor)
@@ -86,22 +89,21 @@ def delta_covariance(fit: CceFit, hac: HacConfig) -> np.ndarray:
         sigma2 = fit.ssr / nt
         return sigma2 * omega_inv
     s_t = hac.resolve_bandwidth(t)
-    psi = np.einsum("it,it,itp,itq->pq", eps, eps, zt, zt) / nt
+    scores = np.ascontiguousarray((fit.residuals[:, :, None] * zt).transpose(1, 0, 2))
+    flat = scores.reshape(nt, r)
+    psi = flat.T @ flat / nt
     for j in range(1, t):
         w = kernel_weight(hac.kernel, j / s_t)
         if w == 0.0:
             break
-        lag = np.einsum(
-            "it,it,itp,itq->pq", eps[:, j:], eps[:, :-j], zt[:, j:, :], zt[:, :-j, :]
-        ) / nt
+        lag = flat[j * n :].T @ flat[: (t - j) * n] / nt
         psi += w * (lag + lag.T)
     return omega_inv @ psi @ omega_inv
 
 
 def wald_from_fit(fit: CceFit, hac: HacConfig) -> float:
     n, t, r = fit.z_partialled.shape
-    y_scale = float(fit.y_stacked @ fit.y_stacked)
-    if fit.ssr <= 1e-14 * y_scale:
+    if fit.ssr <= 1e-14 * fit.y_ss:
         # Numerically exact fit: both the residuals and (possibly) the
         # break estimate are pure rounding noise, so the Wald ratio is
         # indeterminate. Resolve it by the sign of the break magnitude.
@@ -118,6 +120,17 @@ def wald_at(panel: PanelData, spec: BreakSpec, b: int, hac: HacConfig | None = N
     hac = hac or HacConfig()
     fit = cce_fit(panel, spec, b, ProjectorMode.TESTING)
     return wald_from_fit(fit, hac)
+
+
+def _profile_wald(profile: TestingProfile, b: int, hac: HacConfig) -> float:
+    """W(b) from the engine's fit, or from ``wald_at`` where that must decide."""
+    fit = profile.fit(b)
+    if fit is not None:
+        try:
+            return wald_from_fit(fit, hac)
+        except SingularCovariance:
+            pass  # the reference fit raises it again, with its own figures
+    return wald_at(profile.panel, profile.spec, b, hac)
 
 
 @dataclass(frozen=True)
@@ -149,6 +162,8 @@ def sup_wald(
     A candidate failing the rank condition is excluded and flagged in
     ``excluded_dates``; it is an error only if every candidate fails.
     ``sw_critical`` may be supplied to bypass the critical-value cache.
+    The fits come from the profile engine; ``wald_at`` is the reference
+    for each value.
     """
     hac = hac or HacConfig()
     if not (0.0 < alpha < 1.0):
@@ -159,11 +174,12 @@ def sup_wald(
             f"trimmed candidate set is empty for T={panel.n_periods}, "
             f"eps={spec.trim_fraction}"
         )
+    profile = TestingProfile(panel, spec)
     dates, values, excluded = [], [], []
     last_error: StatisticalError | None = None
     for b in candidates:
         try:
-            values.append(wald_at(panel, spec, b, hac))
+            values.append(_profile_wald(profile, b, hac))
             dates.append(b)
         except (RankConditionFailure, SingularCovariance) as err:
             excluded.append(b)
@@ -211,14 +227,17 @@ def sequential_breaks(
     hac: HacConfig | None = None,
     alpha: float = 0.05,
     max_breaks: int = 5,
+    full_sample_wald: WaldResult | None = None,
 ) -> "list[DetectedBreak]":
     """One-at-a-time multiple-break search by sample splitting.
 
     Tests the full sample; on rejection, dates the break, then recurses
     on the pre and post subsamples whose lengths still admit a nonempty
     trimmed candidate set. Returns breaks sorted by date, capped at
-    ``max_breaks``. Windows too short to test are skipped silently at
-    recursion (the initial window raises EmptyCandidateSet as usual).
+    ``max_breaks``. ``full_sample_wald`` is the full-sample test when the
+    caller has already run it. A statistical error in a sub-window, from
+    testing or from dating, ends the search in that window; in the full
+    sample it is raised.
     """
     if max_breaks < 1:
         raise InputError("max_breaks must be >= 1")
@@ -232,32 +251,23 @@ def sequential_breaks(
             return
         sub = panel.slice_periods(start, stop) if (start, stop) != (1, panel.n_periods) else panel
         try:
-            wald = sup_wald(sub, spec, hac, alpha)
-        except EmptyCandidateSet:
-            if first:
-                raise
-            return
+            if first and full_sample_wald is not None:
+                wald = full_sample_wald
+            else:
+                wald = sup_wald(sub, spec, hac, alpha)
+            if not wald.reject_sw:
+                return
+            fit = fit_break(sub, spec, alpha)
         except StatisticalError:
             if first:
                 raise
             return
-        if not wald.reject_sw:
-            return
-        fit = fit_break(sub, spec, alpha)
         offset = start - 1
-        global_fit = BreakFit(
+        global_fit = replace(
+            fit,
             b_hat=fit.b_hat + offset,
-            delta_hat=fit.delta_hat,
-            theta_hat=fit.theta_hat,
-            theta_cov=fit.theta_cov,
-            omega_x_hat=fit.omega_x_hat,
-            phi_x_hat=fit.phi_x_hat,
-            sigma_eps_i=fit.sigma_eps_i,
             ci_lower=fit.ci_lower + offset,
             ci_upper=fit.ci_upper + offset,
-            alpha=fit.alpha,
-            ssr_profile=fit.ssr_profile,
-            ci_clamped=fit.ci_clamped,
         )
         found.append(DetectedBreak(fit=global_fit, window=(start, stop), wald=wald))
         split = fit.b_hat + offset

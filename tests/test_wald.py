@@ -1,15 +1,19 @@
 """Wald statistics, HAC covariances and the sequential break search."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from panelbreak import (
     BreakSpec,
+    DgpConfig,
     HacConfig,
     Kernel,
     PanelData,
     sequential_breaks,
     sup_wald,
+    generate,
     wald_at,
     z_regressors,
 )
@@ -191,6 +195,27 @@ class TestSequentialBreaks:
         y = x @ np.ones(2) + rng.standard_normal((60, 30))
         spec = BreakSpec.from_indices(2, [1])
         assert sequential_breaks(PanelData(y=y, x=x), spec, alpha=0.01) == []
+
+    def test_full_sample_result_is_reused(self, rng):
+        panel, spec = self._two_break_panel(rng)
+        full = sup_wald(panel, spec, alpha=0.05)
+        accept = replace(full, reject_sw=False)
+        assert sequential_breaks(panel, spec, alpha=0.05, full_sample_wald=accept) == []
+        found = sequential_breaks(panel, spec, alpha=0.05, full_sample_wald=full)
+        assert [br.wald for br in found if br.window == (1, 40)] == [full]
+
+    def test_failed_dating_ends_only_its_sub_window(self):
+        # Breaks at 80 and 160. The null window 81..160 rejects spuriously
+        # and dates its break at its first period, where the testing-mode
+        # rank condition fails; the search must keep the two real breaks.
+        config = DgpConfig(n_units=100, n_periods=240, b0=80, seed=305)
+        panel, _ = generate(config)
+        y = panel.y.copy()
+        y[:, 160:] -= config.delta[0] * panel.x[:, 160:, 1]
+        panel = PanelData(y=y, x=panel.x, d=np.ones((240, 1)))
+        spec = BreakSpec.from_indices(2, [1])
+        found = sequential_breaks(panel, spec, alpha=0.01)
+        assert [br.fit.b_hat for br in found] == [80, 160]
 
     def test_max_breaks_domain(self, rng):
         panel = random_panel(rng, n=5, t=12, k=2)
