@@ -15,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 from importlib.metadata import PackageNotFoundError, version
 
 import numpy as np
@@ -24,7 +23,7 @@ from . import limits
 from .dgp import DgpConfig, run_experiment
 from .estimator import estimate_breakpoint, fit_break
 from .exceptions import InputError, PanelBreakError, StatisticalError
-from .io import load_panel, read_keyvalue_config
+from .io import load_panel, read_keyvalue_config, write_text_atomic
 from .panel import BreakSpec, PanelData
 from .wald import HacConfig, Kernel, sequential_breaks, sup_wald
 
@@ -193,12 +192,12 @@ def _emit(args, report: dict) -> None:
         text = json.dumps(report, indent=1, sort_keys=True) + "\n"
     else:
         text = _render_text(report)
+    _write_out(args, text)
+
+
+def _write_out(args, text: str) -> None:
     if args.out:
-        directory = os.path.dirname(args.out) or "."
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, args.out)
+        write_text_atomic(args.out, text)
     else:
         sys.stdout.write(text)
 
@@ -338,11 +337,7 @@ def _cmd_simulate(args) -> int:
         text = report.to_json() + "\n"
     else:
         text = report.to_text() + "\n"
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_out(args, text)
     return EXIT_OK
 
 

@@ -8,6 +8,9 @@ common regressors. UTF-8, '.' decimal separator, IEEE doubles.
 from __future__ import annotations
 
 import csv
+import os
+import tempfile
+from operator import itemgetter
 
 from .exceptions import InputError, RaggedRow
 from .panel import PanelData, build_panel
@@ -19,6 +22,16 @@ def _parse_time(token: str):
         return int(value) if value.is_integer() else value
     except ValueError:
         return token
+
+
+def _parse_times(tokens):
+    """``_parse_time`` of every token, parsing each distinct token once."""
+    parsed = {token: _parse_time(token) for token in set(tokens)}
+    if any(value != value for value in parsed.values()):
+        # A NaN label equals nothing, not even itself, so every row keeps
+        # its own object, as one parse per row gives it.
+        return list(map(_parse_time, tokens))
+    return [parsed[token] for token in tokens]
 
 
 def _read_rows(path):
@@ -41,22 +54,41 @@ def _column_indices(header, names, path):
     return indices
 
 
+def _parse_rows(path, rows, idx, n_labels):
+    """Tuples of the columns ``idx`` of the non-blank CSV records ``rows``, emptied after.
+
+    The first ``n_labels`` columns are labels, the last of them a time
+    token; the rest are read with Python's ``float``. Columns are converted
+    whole; only on a failure are the records rescanned one by one, so the
+    error names the first bad record by its line in the file (the header is
+    line 1, blank lines count).
+    """
+    body = [row for row in rows if row]
+    try:
+        labels = [list(map(itemgetter(i), body)) for i in idx[:n_labels]]
+        values = [list(map(float, map(itemgetter(i), body))) for i in idx[n_labels:]]
+    except (IndexError, ValueError):
+        for lineno, row in enumerate(rows, start=2):
+            if not row:
+                continue
+            if max(idx) >= len(row):
+                raise RaggedRow(f"{path}:{lineno}: row has {len(row)} fields") from None
+            try:
+                [float(row[i]) for i in idx[n_labels:]]
+            except ValueError as err:
+                raise InputError(f"{path}:{lineno}: {err}") from None
+        raise
+    del body
+    rows.clear()  # the records die before the output tuples are built
+    labels[-1] = _parse_times(labels[-1])
+    return list(zip(*labels, *values))
+
+
 def read_panel_rows(path, y: str, x_names, unit: str = "unit", time: str = "time"):
     """Read long-format observation rows (unit, time, y, x...)."""
     header, rows = _read_rows(path)
     idx = _column_indices(header, [unit, time, y, *x_names], path)
-    parsed = []
-    for lineno, row in enumerate(rows, start=2):
-        if not row:
-            continue
-        if max(idx) >= len(row):
-            raise RaggedRow(f"{path}:{lineno}: row has {len(row)} fields")
-        try:
-            values = [float(row[i]) for i in idx[2:]]
-        except ValueError as err:
-            raise InputError(f"{path}:{lineno}: {err}") from None
-        parsed.append((row[idx[0]], _parse_time(row[idx[1]]), *values))
-    return parsed
+    return _parse_rows(path, rows, idx, n_labels=2)
 
 
 def read_common_rows(path, d_names=None, time: str = "time"):
@@ -65,18 +97,7 @@ def read_common_rows(path, d_names=None, time: str = "time"):
     if d_names is None:
         d_names = [h for h in header if h != time]
     idx = _column_indices(header, [time, *d_names], path)
-    parsed = []
-    for lineno, row in enumerate(rows, start=2):
-        if not row:
-            continue
-        if max(idx) >= len(row):
-            raise RaggedRow(f"{path}:{lineno}: row has {len(row)} fields")
-        try:
-            values = [float(row[i]) for i in idx[1:]]
-        except ValueError as err:
-            raise InputError(f"{path}:{lineno}: {err}") from None
-        parsed.append((_parse_time(row[idx[0]]), *values))
-    return parsed
+    return _parse_rows(path, rows, idx, n_labels=1)
 
 
 def write_panel_csv(panel: PanelData, path, y: str = "y", x_names=None) -> None:
@@ -93,6 +114,24 @@ def write_panel_csv(panel: PanelData, path, y: str = "y", x_names=None) -> None:
                 writer.writerow(
                     [unit, time, repr(float(panel.y[i, t])), *(repr(float(v)) for v in panel.x[i, t])]
                 )
+
+
+def write_text_atomic(path, text: str) -> None:
+    """Write ``text`` to ``path`` through a temporary file and a rename.
+
+    Readers see the old file or the whole new one, never a partial write,
+    and the temporary file is removed when anything fails.
+    """
+    path = os.fspath(path)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def load_panel(

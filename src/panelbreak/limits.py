@@ -14,8 +14,6 @@ reproducible from (seed, grid, n_paths).
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from dataclasses import dataclass, asdict
 from enum import Enum
 from importlib import resources
@@ -24,6 +22,7 @@ import numpy as np
 from scipy.special import gammaincinv
 
 from .exceptions import HorizonNotConverged, InputError
+from .io import write_text_atomic
 
 _CACHE_SCHEMA_VERSION = 1
 _DEFAULT_SEED = 20230815
@@ -251,25 +250,10 @@ def load_tables(payload: dict) -> int:
         raise InputError(
             f"unsupported cache schema {payload.get('schema_version')!r}"
         )
-    count = 0
-    for entry in payload.get("tables", []):
-        table = QuantileTable.from_dict(entry)
-        existing = _memory_cache.get(table.key())
-        if existing is not None:
-            merged = dict(existing.quantiles)
-            merged.update(table.quantiles)
-            table = QuantileTable(
-                law=table.law,
-                params=table.params,
-                grid_step=table.grid_step,
-                horizon=table.horizon,
-                n_paths=table.n_paths,
-                seed=table.seed,
-                quantiles=merged,
-            )
-        _memory_cache[table.key()] = table
-        count += 1
-    return count
+    tables = payload.get("tables", [])
+    for entry in tables:
+        _store(QuantileTable.from_dict(entry))
+    return len(tables)
 
 
 def dump_tables() -> dict:
@@ -282,17 +266,7 @@ def dump_tables() -> dict:
 def write_cache(path, payload: dict | None = None) -> None:
     """Atomic write (temp file + rename) of the cache payload."""
     payload = payload if payload is not None else dump_tables()
-    path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            json.dump(payload, handle, indent=1, sort_keys=True)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    write_text_atomic(path, json.dumps(payload, indent=1, sort_keys=True))
 
 
 def _store(table: QuantileTable) -> QuantileTable:

@@ -10,8 +10,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -114,28 +113,17 @@ class PanelData:
         )
 
 
-class CandidateSetMode(Enum):
-    """Which candidate break set a BreakSpec describes.
-
-    FULL_RANGE is the estimation set [r, T-r-1]; TRIMMED is the testing
-    set of dates whose fraction b/T lies in [eps, 1-eps].
-    """
-
-    FULL_RANGE = "full_range"
-    TRIMMED = "trimmed"
-
-
 @dataclass(frozen=True)
 class BreakSpec:
     """Which coefficients may break, and over which candidate dates.
 
     ``selection`` is the k x r 0/1 matrix with one unit column per
-    breaking coefficient. ``trim_fraction`` only matters in TRIMMED mode.
+    breaking coefficient. ``trim_fraction`` only shapes the testing
+    candidate set.
     """
 
     selection: np.ndarray
     trim_fraction: float = 0.15
-    candidate_set_mode: CandidateSetMode = CandidateSetMode.FULL_RANGE
 
     def __post_init__(self):
         sel = np.asarray(self.selection, dtype=float)
@@ -172,26 +160,6 @@ class BreakSpec:
         return [int(i) for i in np.argmax(self.selection, axis=0)]
 
 
-@dataclass(frozen=True)
-class RegimePartition:
-    """Split of 1..T into pre (t <= b) and post (t > b) regimes."""
-
-    break_date: int
-    n_periods: int
-
-    def __post_init__(self):
-        if not (1 <= self.break_date <= self.n_periods - 1):
-            raise InputError("break date must lie in [1, T-1]")
-
-    @property
-    def pre_indices(self) -> range:
-        return range(1, self.break_date + 1)
-
-    @property
-    def post_indices(self) -> range:
-        return range(self.break_date + 1, self.n_periods + 1)
-
-
 def _coerce_time_order(labels):
     """Sort time labels numerically when possible, else lexicographically.
 
@@ -203,6 +171,16 @@ def _coerce_time_order(labels):
         return keyed
     except (TypeError, ValueError):
         return sorted(labels, key=str)
+
+
+def _first_unconvertible(rows) -> int:
+    """Index of the first row whose values numpy cannot read as floats."""
+    for i, row in enumerate(rows):
+        try:
+            np.asarray(row[2:], dtype=float)
+        except (ValueError, TypeError):
+            return i
+    return len(rows)
 
 
 def build_panel(raw_rows, common_rows=None, intercept: bool = False) -> PanelData:
@@ -218,6 +196,10 @@ def build_panel(raw_rows, common_rows=None, intercept: bool = False) -> PanelDat
     intercept : bool
         Prepend an all-ones column to d (fixed effects through the
         known-factor channel).
+
+    The first offending row in input order decides the error; within a row
+    RaggedRow beats DuplicateObservation beats NonFiniteValue. Once every row
+    passes, UnbalancedPanel names the first missing cell in sorted order.
     """
     rows = [tuple(row) for row in raw_rows]
     if not rows:
@@ -225,35 +207,48 @@ def build_panel(raw_rows, common_rows=None, intercept: bool = False) -> PanelDat
     width = len(rows[0])
     if width < 4:
         raise RaggedRow("rows need at least (unit, time, y, x1)")
-    cells: dict = {}
-    units_seen, times_seen = [], []
-    for row in rows:
-        if len(row) != width:
+    # Rows from the first ragged one on are never looked at.
+    ragged = next((i for i, row in enumerate(rows) if len(row) != width), len(rows))
+    head = rows[:ragged]
+    # Labels coded in first-seen order; equal labels share a code.
+    unit_code: dict = {}
+    time_code: dict = {}
+    ucodes = np.array([unit_code.setdefault(row[0], len(unit_code)) for row in head], dtype=np.intp)
+    tcodes = np.array([time_code.setdefault(row[1], len(time_code)) for row in head], dtype=np.intp)
+    keys = ucodes * len(time_code) + tcodes
+    order = np.argsort(keys, kind="stable")
+    repeats = order[1:][keys[order[1:]] == keys[order[:-1]]]
+    duplicate = int(repeats.min()) if repeats.size else len(head)
+    try:
+        values = np.array([row[2:] for row in head], dtype=float)
+        unreadable = len(head)
+    except (ValueError, TypeError):
+        unreadable = _first_unconvertible(head)
+        values = np.array([row[2:] for row in head[:unreadable]], dtype=float).reshape(unreadable, width - 2)
+    nonfinite = np.flatnonzero(~np.isfinite(values).all(axis=1))
+    bad_value = min(int(nonfinite[0]) if nonfinite.size else len(head), unreadable)
+    first = min(ragged, duplicate, bad_value)
+    if first < len(rows):
+        row = rows[first]
+        if first == ragged:
             raise RaggedRow(f"row {row[:2]} has {len(row)} fields, expected {width}")
-        unit, time = row[0], row[1]
-        if (unit, time) in cells:
-            raise DuplicateObservation(f"duplicate observation for {(unit, time)}")
-        vals = np.asarray(row[2:], dtype=float)
-        if not np.all(np.isfinite(vals)):
-            raise NonFiniteValue(f"non-finite value at {(unit, time)}")
-        cells[(unit, time)] = vals
-        if unit not in units_seen:
-            units_seen.append(unit)
-        if time not in times_seen:
-            times_seen.append(time)
-    units = sorted(units_seen, key=lambda u: (str(type(u)), str(u)))
-    times = _coerce_time_order(times_seen)
-    k = width - 3
+        if first == duplicate:
+            raise DuplicateObservation(f"duplicate observation for {row[:2]}")
+        np.asarray(row[2:], dtype=float)  # re-raises the error of an unreadable row
+        raise NonFiniteValue(f"non-finite value at {row[:2]}")
+    units = sorted(unit_code, key=lambda u: (str(type(u)), str(u)))
+    times = _coerce_time_order(time_code)
     n_units, n_periods = len(units), len(times)
-    y = np.empty((n_units, n_periods))
-    x = np.empty((n_units, n_periods, k))
-    for i, unit in enumerate(units):
-        for t, time in enumerate(times):
-            vals = cells.get((unit, time))
-            if vals is None:
-                raise UnbalancedPanel(f"missing observation for {(unit, time)}")
-            y[i, t] = vals[0]
-            x[i, t, :] = vals[1:]
+    # Sorted position of each first-seen code: the inverse permutation.
+    unit_rank = np.argsort([unit_code[u] for u in units])
+    time_rank = np.argsort([time_code[t] for t in times])
+    grid = np.full((n_units, n_periods), -1, dtype=np.intp)
+    grid[unit_rank[ucodes], time_rank[tcodes]] = np.arange(len(rows))
+    gaps = np.flatnonzero(grid < 0)
+    if gaps.size:
+        i, t = divmod(int(gaps[0]), n_periods)
+        raise UnbalancedPanel(f"missing observation for {(units[i], times[t])}")
+    y, x = values[grid, 0], values[grid, 1:]
     d = None
     if common_rows is not None:
         common = {}
@@ -274,7 +269,7 @@ def build_panel(raw_rows, common_rows=None, intercept: bool = False) -> PanelDat
         missing = [t for t in times if t not in common]
         if missing:
             raise UnbalancedPanel(f"common rows missing times {missing[:5]}")
-        extra = [t for t in common if t not in set(times)]
+        extra = [t for t in common if t not in time_code]
         if extra:
             raise UnbalancedPanel(f"common rows cover unknown times {extra[:5]}")
         d = np.vstack([common[t] for t in times]) if cwidth > 1 else None

@@ -3,7 +3,8 @@
 The oracles deliberately use a different computational route than the
 package: dense T x T annihilators built from pseudoinverses, and
 normal equations solved with explicit inverses. Slow and numerically
-naive, but independent.
+naive, but independent. ``reference_build_panel`` is the row-at-a-time
+panel assembly that ``build_panel`` must match outcome for outcome.
 """
 
 import numpy as np
@@ -11,6 +12,14 @@ import pytest
 
 from panelbreak import PanelData, BreakSpec, z_regressors
 from panelbreak.estimator import ProjectorMode, projection_columns
+from panelbreak.exceptions import (
+    DuplicateObservation,
+    InputError,
+    NonFiniteValue,
+    RaggedRow,
+    UnbalancedPanel,
+)
+from panelbreak.panel import _coerce_time_order
 
 
 def random_panel(rng, n=6, t=12, k=2, d_cols=0):
@@ -57,6 +66,73 @@ def exact_break_panel(rng, n=8, t=16, k=2, b0=7, beta=(1.0, 0.5), delta=(2.0,)):
     z = z_regressors(PanelData(y=np.zeros((n, t)), x=x), spec, b0)
     y = x @ np.asarray(beta) + z @ np.asarray(delta)
     return PanelData(y=y, x=x), spec
+
+
+def reference_build_panel(raw_rows, common_rows=None, intercept=False):
+    """One row at a time: the first offending row raises, then the grid fills cell by cell."""
+    rows = [tuple(row) for row in raw_rows]
+    if not rows:
+        raise InputError("no observations supplied")
+    width = len(rows[0])
+    if width < 4:
+        raise RaggedRow("rows need at least (unit, time, y, x1)")
+    cells: dict = {}
+    units_seen, times_seen = [], []
+    for row in rows:
+        if len(row) != width:
+            raise RaggedRow(f"row {row[:2]} has {len(row)} fields, expected {width}")
+        unit, time = row[0], row[1]
+        if (unit, time) in cells:
+            raise DuplicateObservation(f"duplicate observation for {(unit, time)}")
+        vals = np.asarray(row[2:], dtype=float)
+        if not np.all(np.isfinite(vals)):
+            raise NonFiniteValue(f"non-finite value at {(unit, time)}")
+        cells[(unit, time)] = vals
+        if unit not in units_seen:
+            units_seen.append(unit)
+        if time not in times_seen:
+            times_seen.append(time)
+    units = sorted(units_seen, key=lambda u: (str(type(u)), str(u)))
+    times = _coerce_time_order(times_seen)
+    k = width - 3
+    n_units, n_periods = len(units), len(times)
+    y = np.empty((n_units, n_periods))
+    x = np.empty((n_units, n_periods, k))
+    for i, unit in enumerate(units):
+        for t, time in enumerate(times):
+            vals = cells.get((unit, time))
+            if vals is None:
+                raise UnbalancedPanel(f"missing observation for {(unit, time)}")
+            y[i, t] = vals[0]
+            x[i, t, :] = vals[1:]
+    d = None
+    if common_rows is not None:
+        common = {}
+        cwidth = None
+        for row in common_rows:
+            row = tuple(row)
+            if cwidth is None:
+                cwidth = len(row)
+            elif len(row) != cwidth:
+                raise RaggedRow("common-regressor rows have inconsistent width")
+            time = row[0]
+            if time in common:
+                raise DuplicateObservation(f"duplicate common row for time {time}")
+            vals = np.asarray(row[1:], dtype=float)
+            if not np.all(np.isfinite(vals)):
+                raise NonFiniteValue(f"non-finite common regressor at time {time}")
+            common[time] = vals
+        missing = [t for t in times if t not in common]
+        if missing:
+            raise UnbalancedPanel(f"common rows missing times {missing[:5]}")
+        extra = [t for t in common if t not in set(times)]
+        if extra:
+            raise UnbalancedPanel(f"common rows cover unknown times {extra[:5]}")
+        d = np.vstack([common[t] for t in times]) if cwidth > 1 else None
+    if intercept:
+        ones = np.ones((n_periods, 1))
+        d = ones if d is None else np.hstack([ones, d])
+    return PanelData(y=y, x=x, d=d, unit_labels=tuple(units), time_labels=tuple(times))
 
 
 @pytest.fixture

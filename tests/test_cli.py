@@ -1,6 +1,7 @@
 """End-to-end command-line runs (in-process, via main(argv))."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -79,6 +80,16 @@ class TestDetect:
         report = json.loads(out.read_text())
         assert "stages" in report
 
+    def test_failed_out_write_leaves_no_temp_file(self, capsys, null_csv, tmp_path, monkeypatch):
+        def fail(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(os, "replace", fail)
+        out = tmp_path / "report.json"
+        assert main(["test", *base_args(null_csv), "--out", str(out)]) == EXIT_USAGE
+        assert "rename failed" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_text_format(self, capsys, null_csv):
         code = main(["detect", *base_args(null_csv), "--format", "text"])
         out = capsys.readouterr().out
@@ -121,6 +132,22 @@ class TestSimulate:
         assert code == EXIT_OK
         assert report["replications"] == 3
         assert "exact_hit_rate" in report["metrics"]
+
+    def test_out_file_is_written_atomically(self, capsys, tmp_path, monkeypatch):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("n_units = 30\nn_periods = 10\nb0 = 5\nreps = 1\nseed = 2\n")
+        out = tmp_path / "sim.json"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        assert json.loads(out.read_text())["replications"] == 1
+
+        def fail(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(os, "replace", fail)
+        out.unlink()
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        capsys.readouterr()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sim.cfg"]
 
     def test_unknown_key_is_usage_error(self, capsys, tmp_path):
         cfg = tmp_path / "sim.cfg"

@@ -1,14 +1,19 @@
 """CSV ingestion and emission."""
 
+import math
+import os
+
 import numpy as np
 import pytest
 
-from panelbreak.exceptions import InputError, RaggedRow
+from panelbreak.exceptions import InputError, RaggedRow, UnbalancedPanel
 from panelbreak.io import (
     load_panel,
+    read_common_rows,
     read_keyvalue_config,
     read_panel_rows,
     write_panel_csv,
+    write_text_atomic,
 )
 
 from conftest import random_panel
@@ -69,6 +74,47 @@ class TestReadPanel:
         with pytest.raises(InputError):
             read_panel_rows(path, y="y", x_names=["x1"])
 
+    def test_bad_float_after_blank_line_names_its_file_line(self, tmp_path):
+        path = tmp_path / "p.csv"
+        write_csv(path, ["unit,time,y,x1", "a,1,1.0,0.5", "", "a,2,1.0,0.5", "b,1,oops,0.5"])
+        with pytest.raises(InputError, match=r"p\.csv:5: could not convert string to float: 'oops'"):
+            read_panel_rows(path, y="y", x_names=["x1"])
+
+    def test_first_bad_line_wins(self, tmp_path):
+        path = tmp_path / "p.csv"
+        write_csv(path, ["unit,time,y,x1", "a,1,1.0,0.5", "a,2,1.0,bad", "", "b,1,1.0"])
+        with pytest.raises(InputError, match=r"p\.csv:3: .*'bad'"):
+            read_panel_rows(path, y="y", x_names=["x1"])
+        write_csv(path, ["unit,time,y,x1", "", "a,2,1.0", "b,1,1.0,bad"])
+        with pytest.raises(RaggedRow, match=r"p\.csv:3: row has 3 fields"):
+            read_panel_rows(path, y="y", x_names=["x1"])
+
+    def test_rows_parse_like_python(self, tmp_path):
+        path = tmp_path / "p.csv"
+        write_csv(path, ["unit,time,y,x1", "a,1,1_000, 2.5 ", "a,2.0,-inf,1e3", "b,q3,nan,0", "", "b,1.5,0,0"])
+        rows = read_panel_rows(path, y="y", x_names=["x1"])
+        assert rows[:3] == [("a", 1, 1000.0, 2.5), ("a", 2, -math.inf, 1000.0), ("b", "q3", rows[2][2], 0.0)]
+        assert math.isnan(rows[2][2]) and rows[3] == ("b", 1.5, 0.0, 0.0)
+        assert type(rows[1][1]) is int
+
+    def test_nan_times_never_form_one_period(self, tmp_path):
+        # NaN equals nothing, so no two rows share a NaN period and no panel is built.
+        path = tmp_path / "p.csv"
+        write_csv(path, ["unit,time,y,x1", "a,nan,1.0,0.5", "a,1,1.0,0.5", "b,nan,1.0,0.5", "b,1,2.0,0.7"])
+        with pytest.raises(UnbalancedPanel):
+            load_panel(path, y="y", x_names=["x1"])
+
+    def test_common_rows_errors_name_their_line(self, tmp_path):
+        path = tmp_path / "d.csv"
+        write_csv(path, ["time,trend", "1,0.0", "", "2,x"])
+        with pytest.raises(InputError, match=r"d\.csv:4: "):
+            read_common_rows(path)
+        write_csv(path, ["time,trend,q", "1,0.0,1", "2,1.0"])
+        with pytest.raises(RaggedRow, match=r"d\.csv:3: row has 2 fields"):
+            read_common_rows(path)
+        write_csv(path, ["time,trend", "1,0.0", "2,1.5"])
+        assert read_common_rows(path) == [(1, 0.0), (2, 1.5)]
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("")
@@ -103,6 +149,28 @@ class TestRoundTrip:
         panel = random_panel(rng, n=3, t=4, k=2)
         with pytest.raises(InputError):
             write_panel_csv(panel, tmp_path / "out.csv", x_names=["only_one"])
+
+
+class TestAtomicWrite:
+    def test_writes_and_replaces(self, tmp_path):
+        path = tmp_path / "out.txt"
+        write_text_atomic(path, "one\n")
+        write_text_atomic(path, "two\n")
+        assert path.read_text() == "two\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_failed_rename_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "out.txt"
+        path.write_text("old\n")
+
+        def fail(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="rename failed"):
+            write_text_atomic(path, "new\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+        assert path.read_text() == "old\n"
 
 
 class TestKeyValueConfig:

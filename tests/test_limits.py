@@ -1,6 +1,7 @@
 """Limit-law quantiles: cache behaviour, published values, reproducibility."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -117,6 +118,15 @@ class TestCacheIO:
         path = tmp_path / "cache.json"
         write_cache(path, {"schema_version": 1, "tables": []})
         assert [p.name for p in tmp_path.iterdir()] == ["cache.json"]
+
+    def test_failed_rename_leaves_no_temp(self, tmp_path, monkeypatch):
+        def fail(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError):
+            write_cache(tmp_path / "cache.json", {"schema_version": 1, "tables": []})
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestDomains:

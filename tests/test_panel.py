@@ -6,9 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from panelbreak import (
     BreakSpec,
-    CandidateSetMode,
     PanelData,
-    RegimePartition,
     build_panel,
     estimation_candidates,
     z_regressors,
@@ -22,6 +20,8 @@ from panelbreak.exceptions import (
     UnbalancedPanel,
 )
 from panelbreak.panel import post_break_mask
+
+from conftest import reference_build_panel
 
 
 def make_rows(n, t, k, rng, unit_fmt="u{:03d}"):
@@ -105,6 +105,135 @@ class TestBuildPanel:
         assert (panel.n_units, panel.n_periods) == (61, 38)
 
 
+def outcome(build, rows, common_rows=None, intercept=False):
+    """What a caller can observe: the arrays and labels, or the error."""
+    try:
+        panel = build(rows, common_rows=common_rows, intercept=intercept)
+    except Exception as err:  # the error class and text are the outcome
+        return type(err).__name__, str(err)
+    d = None if panel.d is None else (panel.d.shape, panel.d.tobytes())
+    labels = repr((panel.unit_labels, panel.time_labels))
+    return panel.y.shape, panel.y.tobytes(), panel.x.shape, panel.x.tobytes(), d, labels
+
+
+UNIT_LABELS = st.one_of(st.integers(0, 20), st.text("abc7", min_size=1, max_size=2))
+TIME_LABELS = st.one_of(
+    st.integers(0, 12),
+    st.sampled_from([0.5, 1.5, 2.25, -1.0, float("inf")]),
+    st.text("xy3", min_size=1, max_size=2),
+)
+VALUES = st.floats(-1e3, 1e3, allow_nan=False)
+DEFECTS = ("duplicate", "missing", "ragged", "nonfinite", "unreadable")
+
+
+@st.composite
+def long_rows(draw):
+    """Shuffled long-format rows with up to three injected defects, and optional common rows."""
+    units = draw(st.lists(UNIT_LABELS, min_size=2, max_size=4, unique=True))
+    times = draw(st.lists(TIME_LABELS, min_size=2, max_size=4, unique=True))
+    k = draw(st.integers(1, 2))
+    rows = []
+    for unit in units:
+        for time in times:
+            if isinstance(time, int) and draw(st.booleans()):
+                time = float(time)  # an equal label spelled differently
+            rows.append((unit, time, *draw(st.lists(VALUES, min_size=k + 1, max_size=k + 1))))
+    rows = draw(st.permutations(rows))
+    for kind in draw(st.lists(st.sampled_from(DEFECTS), max_size=3)):
+        at = draw(st.integers(0, len(rows) - 1))  # at least four rows, at most three dropped
+        if kind == "duplicate":
+            copy = rows[draw(st.integers(0, len(rows) - 1))]
+            rows.insert(at, copy[:2] + tuple(draw(st.lists(VALUES, min_size=k + 1, max_size=k + 1))))
+        elif kind == "missing":
+            del rows[at]
+        elif kind == "ragged":
+            rows[at] = rows[at][:-1] if draw(st.booleans()) else rows[at] + (0.0,)
+        else:
+            col = draw(st.integers(2, len(rows[at]) - 1))
+            bad = draw(st.sampled_from([float("nan"), float("inf"), -float("inf")]))
+            bad = "oops" if kind == "unreadable" else bad
+            rows[at] = rows[at][:col] + (bad,) + rows[at][col + 1 :]
+    common = None
+    if draw(st.booleans()):
+        n_common = draw(st.integers(0, 2))
+        common = [(time, *draw(st.lists(VALUES, min_size=n_common, max_size=n_common))) for time in times]
+        if draw(st.booleans()):
+            common.append((draw(TIME_LABELS), 0.0))  # duplicate, unknown or ragged time
+        common = draw(st.permutations(common))
+    return rows, common, draw(st.booleans())
+
+
+class TestBuildPanelOracle:
+    """``build_panel`` against the row-at-a-time reference in conftest."""
+
+    @given(case=long_rows())
+    @settings(max_examples=600, deadline=None)
+    def test_same_outcome_as_reference(self, case):
+        rows, common, intercept = case
+        assert outcome(build_panel, rows, common, intercept) == outcome(
+            reference_build_panel, rows, common, intercept
+        )
+
+    @pytest.mark.parametrize(
+        "first, second, error",
+        [
+            ("nonfinite", "duplicate", NonFiniteValue),
+            ("duplicate", "nonfinite", DuplicateObservation),
+            ("nonfinite", "ragged", NonFiniteValue),
+            ("ragged", "duplicate", RaggedRow),
+            ("duplicate", "ragged", DuplicateObservation),
+            ("missing", "nonfinite", NonFiniteValue),
+        ],
+    )
+    def test_first_defect_in_row_order_wins(self, rng, first, second, error):
+        rows = make_rows(3, 4, 2, rng)
+
+        def inject(kind, at):
+            if kind == "nonfinite":
+                rows[at] = rows[at][:3] + (float("nan"),) + rows[at][4:]
+            elif kind == "duplicate":
+                rows[at] = rows[0][:2] + rows[at][2:]
+            elif kind == "ragged":
+                rows[at] = rows[at][:-1]
+            else:  # the row moves to a new unit, leaving its cell missing
+                rows[at] = ("no such unit",) + rows[at][1:]
+
+        inject(first, 3)
+        inject(second, 7)
+        with pytest.raises(error) as got:
+            build_panel(rows)
+        with pytest.raises(error) as want:
+            reference_build_panel(rows)
+        assert str(got.value) == str(want.value)
+
+    def test_duplicate_beats_nonfinite_in_one_row(self, rng):
+        rows = make_rows(2, 3, 1, rng)
+        rows.append(rows[1][:2] + (float("inf"), 1.0))
+        with pytest.raises(DuplicateObservation, match=r"duplicate observation for \('u000', 2\)"):
+            build_panel(rows)
+
+    def test_first_missing_cell_in_sorted_order(self, rng):
+        rows = make_rows(3, 4, 1, rng)
+        rows = [row for row in rows if row[:2] not in {("u002", 1), ("u001", 3)}]
+        with pytest.raises(UnbalancedPanel, match=r"missing observation for \('u001', 3\)"):
+            build_panel(rows)
+
+    def test_unreadable_value_raises_in_row_order(self, rng):
+        rows = make_rows(2, 3, 1, rng)
+        rows[4] = rows[4][:2] + ("oops", 1.0)
+        with pytest.raises(ValueError, match="could not convert string to float: 'oops'"):
+            build_panel(rows)
+        rows[1] = rows[1][:2] + (float("nan"), 1.0)
+        with pytest.raises(NonFiniteValue):
+            build_panel(rows)
+
+    def test_common_rows_with_unknown_time(self, rng):
+        rows = make_rows(2, 3, 1, rng)
+        common = [(1, 0.5), (2, 0.7), (3, 0.9), (4, 1.1)]
+        with pytest.raises(UnbalancedPanel, match=r"cover unknown times \[4\]"):
+            build_panel(rows, common_rows=common)
+
+
 class TestPanelData:
     def test_too_small_raises(self):
         with pytest.raises(InputError):
@@ -166,24 +295,6 @@ class TestBreakSpec:
             BreakSpec.from_indices(2, [0], trim_fraction=0.5)
         with pytest.raises(InputError):
             BreakSpec.from_indices(2, [0], trim_fraction=0.0)
-
-    def test_mode_default(self):
-        spec = BreakSpec.from_indices(2, [1])
-        assert spec.candidate_set_mode is CandidateSetMode.FULL_RANGE
-
-
-class TestRegimePartition:
-    def test_split(self):
-        part = RegimePartition(break_date=3, n_periods=5)
-        assert list(part.pre_indices) == [1, 2, 3]
-        assert list(part.post_indices) == [4, 5]
-
-    def test_domain(self):
-        with pytest.raises(InputError):
-            RegimePartition(break_date=0, n_periods=5)
-        with pytest.raises(InputError):
-            RegimePartition(break_date=5, n_periods=5)
-
 
 class TestZRegressors:
     def test_mask_edges(self):
