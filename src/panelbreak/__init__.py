@@ -20,7 +20,7 @@ from .limits import (
     argmax_quantile,
     sup_bessel_critical,
 )
-from .linalg import Projector, cross_sectional_average, make_annihilator, stacked_ols
+from .linalg import Projector, cross_sectional_average
 from .panel import (
     BreakSpec,
     PanelData,
@@ -67,11 +67,9 @@ __all__ = [
     "estimation_candidates",
     "fit_break",
     "generate",
-    "make_annihilator",
     "run_experiment",
     "sequential_breaks",
     "ssr_at",
-    "stacked_ols",
     "sup_bessel_critical",
     "sup_wald",
     "testing_candidates",

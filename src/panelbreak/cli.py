@@ -68,7 +68,6 @@ def _add_common_args(p):
     p.add_argument("--kernel", choices=["bartlett", "uniform"], default="bartlett")
     p.add_argument("--bandwidth", default="auto", help="integer lag bandwidth, or 'auto' for floor(T^(1/3))")
     p.add_argument("--max-breaks", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write the report to this path (default stdout)")
     p.add_argument("--format", choices=["json", "text"], default="json")
 

@@ -66,9 +66,5 @@ class EmptyCandidateSet(StatisticalError):
     """No admissible candidate break dates for this sample size."""
 
 
-class HorizonNotConverged(StatisticalError):
-    """Adaptive simulation horizon hit its cap before converging."""
-
-
 class ExperimentError(PanelBreakError):
     """Too many Monte Carlo replications failed."""

@@ -19,19 +19,12 @@ from .panel import PanelData, build_panel
 def _parse_time(token: str):
     try:
         value = float(token)
-        return int(value) if value.is_integer() else value
     except ValueError:
         return token
-
-
-def _parse_times(tokens):
-    """``_parse_time`` of every token, parsing each distinct token once."""
-    parsed = {token: _parse_time(token) for token in set(tokens)}
-    if any(value != value for value in parsed.values()):
-        # A NaN label equals nothing, not even itself, so every row keeps
-        # its own object, as one parse per row gives it.
-        return list(map(_parse_time, tokens))
-    return [parsed[token] for token in tokens]
+    if value != value:
+        # NaN equals nothing, not even itself, so it cannot label a period.
+        raise ValueError(f"time label {token!r} is not a number")
+    return int(value) if value.is_integer() else value
 
 
 def _read_rows(path):
@@ -59,29 +52,39 @@ def _parse_rows(path, rows, idx, n_labels):
 
     The first ``n_labels`` columns are labels, the last of them a time
     token; the rest are read with Python's ``float``. Columns are converted
-    whole; only on a failure are the records rescanned one by one, so the
-    error names the first bad record by its line in the file (the header is
-    line 1, blank lines count).
+    whole; only on a failure is the file read again record by record, so
+    the error names the line of the file where the first bad record starts.
     """
     body = [row for row in rows if row]
     try:
         labels = [list(map(itemgetter(i), body)) for i in idx[:n_labels]]
         values = [list(map(float, map(itemgetter(i), body))) for i in idx[n_labels:]]
+        times = {token: _parse_time(token) for token in set(labels[-1])}  # each distinct token once
+        labels[-1] = [times[token] for token in labels[-1]]
     except (IndexError, ValueError):
-        for lineno, row in enumerate(rows, start=2):
+        _raise_first_bad_record(path, idx, n_labels)
+        raise
+    del body
+    rows.clear()  # the records die before the output tuples are built
+    return list(zip(*labels, *values))
+
+
+def _raise_first_bad_record(path, idx, n_labels):
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        next(reader, None)
+        start = reader.line_num + 1
+        for row in reader:
+            lineno, start = start, reader.line_num + 1
             if not row:
                 continue
             if max(idx) >= len(row):
                 raise RaggedRow(f"{path}:{lineno}: row has {len(row)} fields") from None
             try:
+                _parse_time(row[idx[n_labels - 1]])
                 [float(row[i]) for i in idx[n_labels:]]
             except ValueError as err:
                 raise InputError(f"{path}:{lineno}: {err}") from None
-        raise
-    del body
-    rows.clear()  # the records die before the output tuples are built
-    labels[-1] = _parse_times(labels[-1])
-    return list(zip(*labels, *values))
 
 
 def read_panel_rows(path, y: str, x_names, unit: str = "unit", time: str = "time"):

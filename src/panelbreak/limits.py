@@ -1,27 +1,28 @@
-"""Quantiles of the two limiting laws, by controlled path simulation.
+"""Quantiles of the two limiting laws.
 
 Law one: the argmax over v of -|v|/2 + B(v) with B a two-sided standard
-Brownian motion, which governs the estimated break date. Law two: the
-supremum over the trimmed fractions of the squared standardized
-tied-down Bessel process of order r, which governs the sup-Wald
-statistic. Both are simulated on a grid, with the horizon of the first
-law grown adaptively until almost all paths peak well inside it.
+Brownian motion, which governs the estimated break date. Its CDF is in
+closed form (Bai 1997), so its quantiles are found by inverting it.
+Law two: the supremum over the trimmed fractions of the squared
+standardized tied-down Bessel process of order r, which governs the
+sup-Wald statistic. It is simulated on a grid.
 
-Shipped defaults live in a versioned JSON cache; everything is
+Simulated quantiles ship in a versioned JSON cache; everything there is
 reproducible from (seed, grid, n_paths).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, asdict
+import math
+from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from importlib import resources
 
 import numpy as np
-from scipy.special import gammaincinv
+from scipy.special import erfcx, gammaincinv, ndtr
 
-from .exceptions import HorizonNotConverged, InputError
+from .exceptions import InputError
 from .io import write_text_atomic
 
 _CACHE_SCHEMA_VERSION = 1
@@ -34,31 +35,26 @@ DEFAULT_ALPHAS = (0.01, 0.05, 0.10)
 
 
 class LimitLaw(Enum):
-    ARGMAX_TWO_SIDED_BM = "argmax_two_sided_bm"
     SUP_BESSEL = "sup_bessel"
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Simulation controls for both laws."""
+    """Simulation controls for the sup-Bessel law."""
 
     n_paths: int = 200_000
     seed: int = _DEFAULT_SEED
-    step: float = 0.1  # v-grid step for the argmax law
     grid_points: int = 2000  # tau-grid resolution for the Bessel sup
-    v_initial: float = 16.0
-    v_cap: float = 65536.0
-    inner_fraction: float = 0.999
 
     def __post_init__(self):
-        if self.n_paths < 1 or self.step <= 0 or self.grid_points < 10:
+        if self.n_paths < 1 or self.grid_points < 10:
             raise InputError("invalid simulation config")
 
 
 @dataclass(frozen=True)
 class QuantileTable:
     law: LimitLaw
-    params: tuple  # (r, eps) for SUP_BESSEL, () for ARGMAX
+    params: tuple  # (r, eps)
     grid_step: float
     horizon: float
     n_paths: int
@@ -101,65 +97,29 @@ def chi_squared_quantile(r: int, prob: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Path simulation
+# Argmax law, closed form
 
 
-def _block_size(steps: int) -> int:
-    # Keep each temporary around 2M doubles.
-    return max(256, int(2_000_000 // max(steps, 1)))
+def argmax_cdf(x: float) -> float:
+    """CDF of argmax_v {B(v) - |v|/2} (Bai 1997, RESTAT).
 
-
-def _argmax_samples_at_horizon(sim: SimConfig, v_half: float, rng) -> np.ndarray:
-    """Argmax locations of -|v|/2 + B(v) over [-v_half, v_half]."""
-    steps = int(round(v_half / sim.step))
-    grid = np.arange(1, steps + 1) * sim.step
-    drift = -0.5 * grid
-    out = np.empty(sim.n_paths)
-    sqrt_step = np.sqrt(sim.step)
-    done = 0
-    while done < sim.n_paths:
-        blk = min(_block_size(steps), sim.n_paths - done)
-        best_val = np.zeros(blk)
-        best_loc = np.zeros(blk)
-        for sign in (1.0, -1.0):
-            inc = rng.standard_normal((blk, steps)) * sqrt_step
-            vals = np.cumsum(inc, axis=1)
-            vals += drift
-            idx = np.argmax(vals, axis=1)
-            wing_val = vals[np.arange(blk), idx]
-            better = wing_val > best_val
-            best_val[better] = wing_val[better]
-            best_loc[better] = sign * grid[idx[better]]
-        out[done : done + blk] = best_loc
-        done += blk
-    return out
-
-
-def _argmax_table(sim: SimConfig, probs) -> QuantileTable:
-    rng = np.random.default_rng(sim.seed)
-    v_half = sim.v_initial
-    while True:
-        samples = _argmax_samples_at_horizon(sim, v_half, rng)
-        inner = np.mean(np.abs(samples) <= 0.5 * v_half)
-        if inner >= sim.inner_fraction:
-            break
-        v_half *= 2.0
-        if v_half > sim.v_cap:
-            raise HorizonNotConverged(
-                f"argmax horizon exceeded cap {sim.v_cap} (inner mass {inner:.4f})"
-            )
-    qs = {
-        _PROB_FMT % p: float(np.quantile(samples, p)) for p in sorted(set(probs))
-    }
-    return QuantileTable(
-        law=LimitLaw.ARGMAX_TWO_SIDED_BM,
-        params=(),
-        grid_step=sim.step,
-        horizon=v_half,
-        n_paths=sim.n_paths,
-        seed=sim.seed,
-        quantiles=qs,
+    For x > 0, G(x) = 1 + sqrt(x/(2 pi)) e^{-x/8} - (x+5)/2 Phi(-sqrt(x)/2)
+    + (3/2) e^x Phi(-3 sqrt(x)/2), and G(-x) = 1 - G(x). The last term is
+    (3/4) e^{-x/8} erfcx(3 sqrt(x/8)) here, because e^x overflows past x ~ 709.
+    """
+    if x < 0.0:
+        return 1.0 - argmax_cdf(-x)
+    decay = math.exp(-x / 8.0)
+    return float(
+        1.0
+        + math.sqrt(x / (2.0 * math.pi)) * decay
+        - 0.5 * (x + 5.0) * ndtr(-0.5 * math.sqrt(x))
+        + 0.75 * decay * erfcx(3.0 * math.sqrt(x / 8.0))
     )
+
+
+# ---------------------------------------------------------------------------
+# Path simulation
 
 
 def _sup_bessel_samples(r: int, sim: SimConfig, trims) -> dict:
@@ -185,7 +145,7 @@ def _sup_bessel_samples(r: int, sim: SimConfig, trims) -> dict:
     sqrt_dt = np.sqrt(1.0 / m)
     done = 0
     while done < sim.n_paths:
-        blk = min(_block_size(m), sim.n_paths - done)
+        blk = min(max(256, 2_000_000 // m), sim.n_paths - done)  # ~2M doubles a temporary
         num = np.zeros((blk, m))
         for _ in range(r):
             j = np.cumsum(rng.standard_normal((blk, m)) * sqrt_dt, axis=1)
@@ -252,7 +212,11 @@ def load_tables(payload: dict) -> int:
         )
     tables = payload.get("tables", [])
     for entry in tables:
-        _store(QuantileTable.from_dict(entry))
+        try:
+            table = QuantileTable.from_dict(entry)
+        except (KeyError, ValueError) as err:
+            raise InputError(f"malformed cache entry: {err!r}") from None
+        _store(table)
     return len(tables)
 
 
@@ -272,17 +236,7 @@ def write_cache(path, payload: dict | None = None) -> None:
 def _store(table: QuantileTable) -> QuantileTable:
     existing = _memory_cache.get(table.key())
     if existing is not None:
-        merged = dict(existing.quantiles)
-        merged.update(table.quantiles)
-        table = QuantileTable(
-            law=table.law,
-            params=table.params,
-            grid_step=table.grid_step,
-            horizon=table.horizon,
-            n_paths=table.n_paths,
-            seed=table.seed,
-            quantiles=merged,
-        )
+        table = replace(table, quantiles={**existing.quantiles, **table.quantiles})
     _memory_cache[table.key()] = table
     return table
 
@@ -297,24 +251,30 @@ def clear_memory_cache() -> None:
 # Public quantile lookups
 
 
-def argmax_quantile(prob: float, sim: SimConfig | None = None) -> float:
+def argmax_quantile(prob: float) -> float:
     """Quantile of the argmax law; c_alpha is the prob = 1 - alpha/2 call.
 
-    The law is symmetric about zero, so its upper percentiles are
-    positive and the median is zero up to discretization.
+    Inverts ``argmax_cdf`` by bisection, doubling the upper bracket until
+    it holds ``prob``. The law is symmetric about zero, so the median is 0
+    and the lower quantiles are the negated upper ones.
     """
     if not (0.0 < prob < 1.0):
         raise InputError("prob must lie in (0, 1)")
-    sim = sim or SimConfig()
-    _load_packaged()
-    key = _table_key(LimitLaw.ARGMAX_TWO_SIDED_BM, (), sim.step, sim.n_paths, sim.seed)
-    pkey = _PROB_FMT % prob
-    table = _memory_cache.get(key)
-    if table is not None and pkey in table.quantiles:
-        return table.quantiles[pkey]
-    table = _argmax_table(sim, [prob])
-    table = _store(table)
-    return table.quantiles[pkey]
+    if prob == 0.5:
+        return 0.0
+    if prob < 0.5:
+        return -argmax_quantile(1.0 - prob)
+    lo, hi = 0.0, 1.0
+    while argmax_cdf(hi) < prob:
+        lo, hi = hi, 2.0 * hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return hi
+        if argmax_cdf(mid) < prob:
+            lo = mid
+        else:
+            hi = mid
 
 
 def sup_bessel_critical(
@@ -347,11 +307,10 @@ def generate_default_tables(
     trims=DEFAULT_TRIMS,
     alphas=DEFAULT_ALPHAS,
 ) -> dict:
-    """Recompute the shipped cache grid; returns the cache payload."""
+    """Recompute the shipped sup-Bessel cache grid; returns the cache payload."""
     sim = sim or SimConfig()
-    argmax_probs = sorted({1.0 - a / 2.0 for a in alphas} | {0.5, 0.95})
     bessel_probs = sorted({1.0 - a for a in alphas})
-    tables = [_argmax_table(sim, argmax_probs)]
+    tables = []
     for r in orders:
         tables.extend(_sup_bessel_tables(r, sim, trims, bessel_probs))
     for t in tables:

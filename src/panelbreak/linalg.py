@@ -1,8 +1,7 @@
-"""Projection algebra: cross-sectional averages, annihilators, stacked OLS.
+"""Projection algebra: cross-sectional averages, projector bases, sums of squares.
 
-Annihilators are applied as composed products (two thin matrix
-multiplies), never as materialized T x T matrices, except where tests
-ask for the dense form explicitly.
+An annihilator I - QQ' is applied as composed products (two thin matrix
+multiplies) with the orthonormal basis Q, never as a T x T matrix.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import NonFiniteInput, RankDeficientDesign
+from .exceptions import NonFiniteInput
 from .panel import PanelData
 
 
@@ -32,23 +31,21 @@ def compensated_sum_of_squares(values: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class Projector:
-    """Residual maker for the column span of a T x q basis.
+    """Orthonormal basis of the column span of a T x q basis.
 
-    Stores an orthonormal basis Q of the span (rank-revealing, via SVD
-    with cutoff max(T, q) * eps * sigma_max) and applies
-    A -> A - Q (Q'A). Rank-deficient bases are handled by the cutoff,
-    which implements the Moore-Penrose pseudoinverse.
+    Q comes from a rank-revealing SVD with cutoff
+    max(T, q) * eps * sigma_max, so I - QQ' is the Moore-Penrose residual
+    maker even for rank-deficient bases.
     """
 
-    q: np.ndarray  # T x effective_rank, orthonormal columns
-    n_rows: int
+    q: np.ndarray  # T x effective rank, orthonormal columns
 
     @classmethod
     def from_columns(cls, columns: np.ndarray | None, n_rows: int) -> "Projector":
         if columns is None or columns.size == 0:
             empty = np.empty((n_rows, 0))
             empty.setflags(write=False)
-            return cls(q=empty, n_rows=n_rows)
+            return cls(q=empty)
         cols = np.asarray(columns, dtype=float)
         if cols.ndim != 2 or cols.shape[0] != n_rows:
             raise NonFiniteInput(f"basis must be {n_rows} x q")
@@ -62,65 +59,4 @@ class Projector:
             rank = 0
         q = u[:, :rank].copy()
         q.setflags(write=False)
-        return cls(q=q, n_rows=n_rows)
-
-    @property
-    def effective_rank(self) -> int:
-        return self.q.shape[1]
-
-    def apply(self, a: np.ndarray) -> np.ndarray:
-        """Project the span out of each column of ``a`` (first axis = T)."""
-        if self.effective_rank == 0:
-            return np.array(a, dtype=float, copy=True)
-        a = np.asarray(a, dtype=float)
-        flat = a.reshape(self.n_rows, -1)
-        out = flat - self.q @ (self.q.T @ flat)
-        return out.reshape(a.shape)
-
-    def matrix(self) -> np.ndarray:
-        """Dense T x T annihilator matrix (for small-T diagnostics only)."""
-        return np.eye(self.n_rows) - self.q @ self.q.T
-
-
-def make_annihilator(columns: np.ndarray | None, n_rows: int | None = None) -> Projector:
-    """Residual maker projecting out the column span of ``columns``.
-
-    ``columns`` may be None or have zero columns, in which case the
-    identity map is returned (``n_rows`` is then required).
-    """
-    if columns is None:
-        if n_rows is None:
-            raise NonFiniteInput("n_rows required for the empty annihilator")
-        return Projector.from_columns(None, n_rows)
-    cols = np.asarray(columns, dtype=float)
-    return Projector.from_columns(cols, cols.shape[0] if n_rows is None else n_rows)
-
-
-def stacked_ols(responses: np.ndarray, regressors: np.ndarray):
-    """Least squares of a stacked response on a stacked design.
-
-    Solved by orthogonal decomposition (SVD-backed lstsq), never by
-    explicit normal-equation inversion.
-
-    Returns
-    -------
-    (coefficients, residuals, ssr) with ssr accumulated in extended
-    precision.
-
-    Raises
-    ------
-    RankDeficientDesign
-        If the design has numerical rank below its column count.
-    """
-    y = np.asarray(responses, dtype=float).reshape(-1)
-    x = np.asarray(regressors, dtype=float)
-    if x.ndim != 2 or x.shape[0] != y.shape[0]:
-        raise NonFiniteInput("design/response shapes incompatible")
-    p = x.shape[1]
-    coef, _, rank, _ = np.linalg.lstsq(x, y, rcond=None)
-    if rank < p:
-        raise RankDeficientDesign(
-            f"stacked design has numerical rank {rank} < {p} columns"
-        )
-    residuals = y - x @ coef
-    return coef, residuals, compensated_sum_of_squares(residuals)
+        return cls(q=q)

@@ -95,10 +95,6 @@ class PanelData:
     def n_regressors(self) -> int:
         return self.x.shape[2]
 
-    @property
-    def n_common(self) -> int:
-        return 0 if self.d is None else self.d.shape[1]
-
     def slice_periods(self, start: int, stop: int) -> "PanelData":
         """Sub-panel covering periods ``start``..``stop`` (1-based, inclusive)."""
         if not (1 <= start <= stop <= self.n_periods):
@@ -154,10 +150,6 @@ class BreakSpec:
     @property
     def n_breaking(self) -> int:
         return self.selection.shape[1]
-
-    @property
-    def breaking_indices(self) -> "list[int]":
-        return [int(i) for i in np.argmax(self.selection, axis=0)]
 
 
 def _coerce_time_order(labels):

@@ -4,7 +4,9 @@ The oracles deliberately use a different computational route than the
 package: dense T x T annihilators built from pseudoinverses, and
 normal equations solved with explicit inverses. Slow and numerically
 naive, but independent. ``reference_build_panel`` is the row-at-a-time
-panel assembly that ``build_panel`` must match outcome for outcome.
+panel assembly that ``build_panel`` must match outcome for outcome, and
+``simulated_argmax_quantiles`` simulates the law that
+``argmax_quantile`` inverts in closed form.
 """
 
 import numpy as np
@@ -133,6 +135,43 @@ def reference_build_panel(raw_rows, common_rows=None, intercept=False):
         ones = np.ones((n_periods, 1))
         d = ones if d is None else np.hstack([ones, d])
     return PanelData(y=y, x=x, d=d, unit_labels=tuple(units), time_labels=tuple(times))
+
+
+def simulated_argmax_quantiles(
+    probs, n_paths=200_000, seed=20230815, step=0.1, v_initial=16.0, v_cap=65536.0
+):
+    """Quantiles of argmax_v {B(v) - |v|/2} from simulated paths, and the horizon used.
+
+    Each wing of B is a Gaussian random walk on a v-grid of ``step`` over
+    [0, v_half]; v_half doubles from ``v_initial`` until 99.9% of the
+    paths peak inside [-v_half/2, v_half/2]. Returns ([quantile per prob], v_half).
+    """
+    rng = np.random.default_rng(seed)
+    v_half = v_initial
+    while True:
+        steps = int(round(v_half / step))
+        grid = np.arange(1, steps + 1) * step
+        samples = np.empty(n_paths)
+        done = 0
+        while done < n_paths:
+            blk = min(max(256, 2_000_000 // steps), n_paths - done)
+            best_val = np.zeros(blk)
+            best_loc = np.zeros(blk)
+            for sign in (1.0, -1.0):
+                vals = np.cumsum(rng.standard_normal((blk, steps)) * np.sqrt(step), axis=1)
+                vals -= 0.5 * grid
+                idx = np.argmax(vals, axis=1)
+                wing_val = vals[np.arange(blk), idx]
+                better = wing_val > best_val
+                best_val[better] = wing_val[better]
+                best_loc[better] = sign * grid[idx[better]]
+            samples[done : done + blk] = best_loc
+            done += blk
+        if np.mean(np.abs(samples) <= 0.5 * v_half) >= 0.999:
+            return [float(np.quantile(samples, p)) for p in probs], v_half
+        v_half *= 2.0
+        if v_half > v_cap:
+            raise RuntimeError(f"argmax horizon exceeded cap {v_cap}")
 
 
 @pytest.fixture

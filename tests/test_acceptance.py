@@ -25,7 +25,6 @@ from panelbreak import (
 )
 from panelbreak.estimator import ProjectorMode
 from panelbreak.limits import (
-    _argmax_table,
     _sup_bessel_samples,
     argmax_quantile,
     chi_squared_quantile,
@@ -33,7 +32,7 @@ from panelbreak.limits import (
 from panelbreak.panel import estimation_candidates
 from panelbreak.panel import testing_candidates as trimmed_candidates
 
-from conftest import oracle_joint_fit, random_panel
+from conftest import oracle_joint_fit, random_panel, simulated_argmax_quantiles
 
 
 def report(name: str, ok: bool, detail: str) -> None:
@@ -153,16 +152,14 @@ class TestAcceptance:
         )
 
     def test_06_limit_law_self_consistency(self):
-        """Simulated critical values are stable and dominate chi-squared."""
+        """Critical values agree with simulation and dominate chi-squared."""
         start = time.time()
         checks = []
-        # Argmax law: seed change and grid halving move the 97.5%
-        # quantile by less than 2%.
+        # Argmax law: the closed-form 97.5% quantile is within 2% of a
+        # simulation, and of one on a grid of half the step.
         shipped = argmax_quantile(0.975)
-        reseeded = argmax_quantile(0.975, SimConfig(n_paths=200_000, seed=777))
-        half_step = argmax_quantile(
-            0.975, SimConfig(n_paths=120_000, step=0.05)
-        )
+        (reseeded,), _ = simulated_argmax_quantiles([0.975], n_paths=200_000, seed=777)
+        (half_step,), _ = simulated_argmax_quantiles([0.975], n_paths=120_000, step=0.05)
         checks.append(abs(reseeded - shipped) / shipped < 0.02)
         checks.append(abs(half_step - shipped) / shipped < 0.02)
         # Bessel law, orders 1 and 2 at the default trim.

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -174,7 +176,7 @@ class TestTables:
         assert code == EXIT_OK
         payload = json.loads(out.read_text())
         assert payload["schema_version"] == 1
-        assert len(payload["tables"]) == 2  # one argmax + one Bessel table
+        assert len(payload["tables"]) == 1  # one Bessel table; the argmax law is closed form
 
     def test_bad_order_is_usage_error(self, capsys, tmp_path):
         code = main(["tables", "--orders", "0", "--out", str(tmp_path / "c.json")])
@@ -201,6 +203,11 @@ class TestFailureModes:
         assert main(argv) == EXIT_USAGE
         capsys.readouterr()
 
+    def test_seed_is_only_a_tables_option(self, capsys, null_csv):
+        # Nothing in detect, test, estimate or ci is random.
+        assert main(["detect", *base_args(null_csv), "--seed", "3"]) == EXIT_USAGE
+        capsys.readouterr()
+
     def test_bad_bandwidth(self, capsys, null_csv):
         argv = ["detect", *base_args(null_csv), "--bandwidth", "wide"]
         assert main(argv) == EXIT_USAGE
@@ -216,3 +223,12 @@ class TestFailureModes:
         code = main(["detect", *base_args(str(path))])
         capsys.readouterr()
         assert code == EXIT_STATISTICAL
+
+
+def test_cli_import_skips_heavy_scipy_modules():
+    # scipy.stats and scipy.optimize each add a large share of start-up time.
+    code = "import sys, panelbreak.cli; print(sorted({'scipy.stats', 'scipy.optimize'} & set(sys.modules)))"
+    src = os.path.dirname(os.path.dirname(__import__("panelbreak").__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

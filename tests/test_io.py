@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from panelbreak.exceptions import InputError, RaggedRow, UnbalancedPanel
+from panelbreak.exceptions import InputError, RaggedRow
 from panelbreak.io import (
     load_panel,
     read_common_rows,
@@ -98,11 +98,24 @@ class TestReadPanel:
         assert type(rows[1][1]) is int
 
     def test_nan_times_never_form_one_period(self, tmp_path):
-        # NaN equals nothing, so no two rows share a NaN period and no panel is built.
+        # NaN equals nothing, so it cannot label a period: the reader names its line.
         path = tmp_path / "p.csv"
-        write_csv(path, ["unit,time,y,x1", "a,nan,1.0,0.5", "a,1,1.0,0.5", "b,nan,1.0,0.5", "b,1,2.0,0.7"])
-        with pytest.raises(UnbalancedPanel):
+        write_csv(path, ["unit,time,y,x1", "a,1,1.0,0.5", "a,NaN,1.0,0.5", "b,nan,1.0,0.5", "b,1,2.0,0.7"])
+        with pytest.raises(InputError, match=r"p\.csv:3: time label 'NaN' is not a number"):
             load_panel(path, y="y", x_names=["x1"])
+        write_csv(path, ["time,trend", "1,0.0", "nan,1.0"])
+        with pytest.raises(InputError, match=r"p\.csv:3: time label 'nan'"):
+            read_common_rows(path)
+
+    def test_quoted_newline_keeps_file_lines(self, tmp_path):
+        # The quoted unit spans lines 2-3, so the bad float sits on file line 4.
+        path = tmp_path / "p.csv"
+        path.write_text('unit,time,y,x1\n"a\nb",1,1.0,0.5\n"a\nb",2,oops,0.5\n', encoding="utf-8")
+        with pytest.raises(InputError, match=r"p\.csv:4: .*'oops'"):
+            read_panel_rows(path, y="y", x_names=["x1"])
+        path.write_text('unit,time,y,x1\n"a\nb",1,1.0,0.5\n\n"a\n\nb",2,1.0\n', encoding="utf-8")
+        with pytest.raises(RaggedRow, match=r"p\.csv:5: row has 3 fields"):
+            read_panel_rows(path, y="y", x_names=["x1"])
 
     def test_common_rows_errors_name_their_line(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -132,7 +145,7 @@ class TestReadPanel:
         panel = load_panel(
             panel_path, y="y", x_names=["x1"], common_path=common_path, intercept=True
         )
-        assert panel.n_common == 2  # intercept + trend
+        assert panel.d.shape == (2, 2)  # intercept + trend
         assert panel.d[1, 1] == 1.0
 
 

@@ -1,26 +1,30 @@
-"""Limit-law quantiles: cache behaviour, published values, reproducibility."""
+"""Limit-law quantiles: closed form, cache behaviour, published values, reproducibility."""
 
 import json
+import math
 import os
 
 import numpy as np
 import pytest
+from scipy.stats import norm
 
 from panelbreak import SimConfig, argmax_quantile, sup_bessel_critical
-from panelbreak.exceptions import HorizonNotConverged, InputError
+from panelbreak.exceptions import InputError
 from panelbreak.limits import (
     DEFAULT_ALPHAS,
     DEFAULT_BESSEL_ORDERS,
     DEFAULT_TRIMS,
-    _argmax_table,
     _sup_bessel_samples,
+    argmax_cdf,
     chi_squared_quantile,
     dump_tables,
     load_tables,
     write_cache,
 )
 
-SMALL = SimConfig(n_paths=4000, seed=99, step=0.2, grid_points=400)
+from conftest import simulated_argmax_quantiles
+
+SMALL = SimConfig(n_paths=4000, seed=99, grid_points=400)
 
 
 class TestPackagedTables:
@@ -68,12 +72,50 @@ class TestPackagedTables:
         assert chi_squared_quantile(2, 0.95) == pytest.approx(5.991465, abs=1e-5)
 
 
+class TestArgmaxClosedForm:
+    def test_centre_and_symmetry(self):
+        assert argmax_cdf(0.0) == 0.5
+        assert argmax_quantile(0.5) == 0.0
+        for x in (1e-9, 0.3, 2.0, 11.0, 50.0, 400.0, 1e4):
+            assert argmax_cdf(-x) == 1.0 - argmax_cdf(x)
+        for p in (0.01, 0.2, 0.45, 0.9):
+            assert argmax_quantile(p) == -argmax_quantile(1.0 - p)
+
+    def test_inverts_cdf(self):
+        for p in np.concatenate([np.linspace(0.01, 0.99, 99), [0.995, 0.999, 0.9999, 0.999999]]):
+            assert argmax_cdf(argmax_quantile(p)) == pytest.approx(p, rel=0.0, abs=1e-12)
+
+    def test_known_quantiles(self):
+        # Bai (1997) tabulates 7.687, 11.033 and 19.767.
+        for p, value in ((0.95, 7.6873), (0.975, 11.0333), (0.995, 19.7665)):
+            assert argmax_quantile(p) == pytest.approx(value, abs=5e-4)
+
+    def test_extreme_tails_finite_and_monotone(self):
+        probs = [0.5, 0.9, 0.99] + [1.0 - 10.0**-j for j in range(3, 13)]
+        upper = [argmax_quantile(p) for p in probs]
+        assert all(math.isfinite(q) for q in upper)
+        assert all(a < b for a, b in zip(upper, upper[1:]))
+        lower = [argmax_quantile(1.0 - p) for p in probs[1:]]
+        assert all(a > b for a, b in zip(lower, lower[1:]))
+
+    def test_matches_naive_form(self):
+        # The textbook form with e^x Phi(-3 sqrt(x)/2), which holds until e^x overflows.
+        for x in np.concatenate([np.linspace(1e-6, 5.0, 200), np.linspace(5.0, 699.0, 500)]):
+            naive = (
+                1.0
+                + math.sqrt(x / (2.0 * math.pi)) * math.exp(-x / 8.0)
+                - 0.5 * (x + 5.0) * norm.cdf(-math.sqrt(x) / 2.0)
+                + 1.5 * math.exp(x) * norm.cdf(-1.5 * math.sqrt(x))
+            )
+            assert argmax_cdf(x) == pytest.approx(naive, rel=0.0, abs=2e-15)
+
+
 class TestSimulation:
     def test_argmax_reproducible(self):
-        t1 = _argmax_table(SMALL, [0.9, 0.975])
-        t2 = _argmax_table(SMALL, [0.9, 0.975])
-        assert t1.quantiles == t2.quantiles
-        assert t1.horizon == t2.horizon
+        q1, h1 = simulated_argmax_quantiles([0.9, 0.975], n_paths=4000, seed=99, step=0.2)
+        q2, h2 = simulated_argmax_quantiles([0.9, 0.975], n_paths=4000, seed=99, step=0.2)
+        assert q1 == q2
+        assert h1 == h2
 
     def test_sup_bessel_reproducible(self):
         s1 = _sup_bessel_samples(1, SMALL, [0.15])
@@ -86,11 +128,6 @@ class TestSimulation:
         samples = _sup_bessel_samples(1, SMALL, [0.05, 0.20])
         assert np.all(samples[0.05] >= samples[0.20])
 
-    def test_horizon_cap_raises(self):
-        sim = SimConfig(n_paths=20000, seed=5, step=0.25, v_initial=4.0, v_cap=6.0)
-        with pytest.raises(HorizonNotConverged):
-            _argmax_table(sim, [0.975])
-
     def test_small_run_tracks_shipped_tables(self):
         # 40k paths on a coarser grid should land within a few percent
         # of the shipped 200k-path values.
@@ -102,7 +139,7 @@ class TestSimulation:
 
 class TestCacheIO:
     def test_round_trip(self, tmp_path):
-        argmax_quantile(0.975)  # ensure at least one table is resident
+        sup_bessel_critical(1, 0.15, 0.05)  # ensure at least one table is resident
         payload = dump_tables()
         path = tmp_path / "cache.json"
         write_cache(path, payload)
@@ -113,6 +150,19 @@ class TestCacheIO:
     def test_bad_schema_rejected(self):
         with pytest.raises(InputError):
             load_tables({"schema_version": 999, "tables": []})
+
+    def test_unknown_law_rejected(self):
+        sup_bessel_critical(1, 0.15, 0.05)
+        entry = dict(dump_tables()["tables"][0], law="argmax_two_sided_bm")
+        with pytest.raises(InputError, match="malformed cache entry"):
+            load_tables({"schema_version": 1, "tables": [entry]})
+
+    def test_missing_key_rejected(self):
+        sup_bessel_critical(1, 0.15, 0.05)
+        entry = dict(dump_tables()["tables"][0])
+        del entry["quantiles"]
+        with pytest.raises(InputError, match="malformed cache entry"):
+            load_tables({"schema_version": 1, "tables": [entry]})
 
     def test_atomic_write_leaves_no_temp(self, tmp_path):
         path = tmp_path / "cache.json"
@@ -148,4 +198,4 @@ class TestDomains:
         with pytest.raises(InputError):
             SimConfig(n_paths=0)
         with pytest.raises(InputError):
-            SimConfig(step=0.0)
+            SimConfig(grid_points=5)

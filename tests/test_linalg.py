@@ -1,15 +1,15 @@
-"""Projection algebra against dense-matrix and normal-equation oracles."""
+"""Projection algebra against dense-matrix oracles."""
 
 import math
 
 import numpy as np
 import pytest
 
-from panelbreak import PanelData, cross_sectional_average, make_annihilator, stacked_ols
-from panelbreak.exceptions import NonFiniteInput, RankDeficientDesign
-from panelbreak.linalg import Projector, compensated_sum_of_squares
+from panelbreak import PanelData, Projector, cross_sectional_average
+from panelbreak.exceptions import NonFiniteInput
+from panelbreak.linalg import compensated_sum_of_squares
 
-from conftest import random_panel
+from conftest import oracle_annihilator, random_panel
 
 
 class TestCrossSectionalAverage:
@@ -35,92 +35,51 @@ class TestCrossSectionalAverage:
         assert cross_sectional_average(panel).shape == (9, 3)
 
 
+def residual_maker(cols, t):
+    q = Projector.from_columns(cols, t).q
+    return np.eye(t) - q @ q.T
+
+
 class TestAnnihilator:
     def test_demeaning_two_periods(self):
-        proj = make_annihilator(np.ones((2, 1)))
-        assert np.allclose(proj.matrix(), np.array([[0.5, -0.5], [-0.5, 0.5]]))
+        assert np.allclose(residual_maker(np.ones((2, 1)), 2), np.array([[0.5, -0.5], [-0.5, 0.5]]))
 
     def test_annihilates_own_columns(self, rng):
         cols = rng.standard_normal((10, 3))
-        proj = make_annihilator(cols)
-        assert np.allclose(proj.apply(cols), 0.0, atol=1e-12)
+        assert np.allclose(residual_maker(cols, 10) @ cols, 0.0, atol=1e-12)
 
-    def test_empty_basis_is_identity(self, rng):
-        proj = make_annihilator(None, n_rows=6)
-        a = rng.standard_normal((6, 2))
-        assert np.array_equal(proj.apply(a), a)
-        assert proj.effective_rank == 0
+    def test_empty_basis_is_identity(self):
+        for cols in (None, np.empty((6, 0))):
+            proj = Projector.from_columns(cols, 6)
+            assert proj.q.shape == (6, 0)
+            assert np.array_equal(residual_maker(cols, 6), oracle_annihilator(cols, 6))
 
     def test_idempotent_and_symmetric(self, rng):
-        cols = rng.standard_normal((8, 3))
-        m = make_annihilator(cols).matrix()
+        m = residual_maker(rng.standard_normal((8, 3)), 8)
         assert np.allclose(m @ m, m, atol=1e-12)
         assert np.allclose(m, m.T, atol=1e-12)
 
     def test_rank_deficient_basis_handled(self, rng):
         col = rng.standard_normal((7, 1))
         cols = np.hstack([col, 2.0 * col, col - col])  # rank 1
-        proj = make_annihilator(cols)
-        assert proj.effective_rank == 1
-        oracle = np.eye(7) - cols @ np.linalg.pinv(cols)
-        assert np.allclose(proj.matrix(), oracle, atol=1e-10)
+        assert Projector.from_columns(cols, 7).q.shape == (7, 1)
+        assert np.allclose(residual_maker(cols, 7), oracle_annihilator(cols, 7), atol=1e-10)
 
     def test_matches_pinv_oracle(self, rng):
         cols = rng.standard_normal((12, 4))
-        proj = make_annihilator(cols)
-        oracle = np.eye(12) - cols @ np.linalg.pinv(cols)
-        a = rng.standard_normal((12, 5))
-        assert np.allclose(proj.apply(a), oracle @ a, atol=1e-10)
+        q = Projector.from_columns(cols, 12).q
+        assert np.allclose(q.T @ q, np.eye(4), atol=1e-12)
+        assert np.allclose(residual_maker(cols, 12), oracle_annihilator(cols, 12), atol=1e-10)
 
     def test_nonfinite_basis_rejected(self):
         with pytest.raises(NonFiniteInput):
-            make_annihilator(np.array([[1.0], [np.nan]]))
+            Projector.from_columns(np.array([[1.0], [np.nan]]), 2)
 
-    def test_missing_n_rows_rejected(self):
+    def test_wrong_shape_rejected(self, rng):
         with pytest.raises(NonFiniteInput):
-            make_annihilator(None)
-
-    def test_tensor_application(self, rng):
-        cols = rng.standard_normal((6, 2))
-        proj = Projector.from_columns(cols, 6)
-        a = rng.standard_normal((6, 3, 2))
-        out = proj.apply(a)
-        dense = proj.matrix()
-        for j in range(3):
-            for k in range(2):
-                assert np.allclose(out[:, j, k], dense @ a[:, j, k], atol=1e-12)
-
-
-class TestStackedOls:
-    def test_grand_mean(self):
-        y = np.array([1.0, 2.0, 6.0])
-        coef, resid, ssr = stacked_ols(y, np.ones((3, 1)))
-        assert coef[0] == pytest.approx(3.0)
-        assert ssr == pytest.approx(14.0)  # 4 + 1 + 9
-
-    def test_exact_fit(self, rng):
-        x = rng.standard_normal((20, 3))
-        beta = np.array([1.0, -2.0, 0.5])
-        coef, resid, ssr = stacked_ols(x @ beta, x)
-        assert np.allclose(coef, beta, atol=1e-10)
-        assert ssr <= 1e-16 * float(np.sum((x @ beta) ** 2))
-
-    def test_matches_normal_equations(self, rng):
-        x = rng.standard_normal((40, 4))
-        y = rng.standard_normal(40)
-        coef, resid, ssr = stacked_ols(y, x)
-        oracle = np.linalg.solve(x.T @ x, x.T @ y)
-        assert np.allclose(coef, oracle, atol=1e-8)
-        assert ssr == pytest.approx(float(resid @ resid), rel=1e-12)
-
-    def test_duplicate_column_raises(self, rng):
-        col = rng.standard_normal((15, 1))
-        with pytest.raises(RankDeficientDesign):
-            stacked_ols(rng.standard_normal(15), np.hstack([col, col]))
-
-    def test_shape_mismatch(self, rng):
+            Projector.from_columns(rng.standard_normal((5, 2)), 6)
         with pytest.raises(NonFiniteInput):
-            stacked_ols(rng.standard_normal(5), rng.standard_normal((6, 2)))
+            Projector.from_columns(rng.standard_normal(6), 6)
 
 
 class TestCompensatedSum:
