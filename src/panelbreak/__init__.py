@@ -1,5 +1,9 @@
 """Structural-break detection, dating and testing for interactive-effects panels."""
 
+# limits first: it pulls in scipy.special, whose import took about 50 ms
+# longer nested under dgp -> estimator -> limits (paired runs of
+# `import panelbreak.cli`, CPython 3.11, 2-CPU host).
+from .limits import SimConfig, argmax_quantile, sup_bessel_critical
 from .dgp import DgpConfig, DgpTruth, ExperimentReport, generate, run_experiment
 from .estimator import (
     BreakFit,
@@ -12,13 +16,6 @@ from .estimator import (
     estimate_theta,
     fit_break,
     ssr_at,
-)
-from .limits import (
-    LimitLaw,
-    QuantileTable,
-    SimConfig,
-    argmax_quantile,
-    sup_bessel_critical,
 )
 from .linalg import Projector, cross_sectional_average
 from .panel import (
@@ -49,11 +46,9 @@ __all__ = [
     "ExperimentReport",
     "HacConfig",
     "Kernel",
-    "LimitLaw",
     "PanelData",
     "Projector",
     "ProjectorMode",
-    "QuantileTable",
     "SimConfig",
     "SsrProfile",
     "WaldResult",

@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from importlib.metadata import PackageNotFoundError, version
 
 import numpy as np
@@ -46,11 +47,7 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on usage errors; the contract wants 1.
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise UsageError(message)
-
-
-class UsageError(Exception):
-    pass
+        raise InputError(message)
 
 
 def _add_data_args(p):
@@ -103,6 +100,13 @@ def _parse_names(arg: str):
     if not names:
         raise InputError("expected a non-empty comma-separated name list")
     return names
+
+
+def _parse_numbers(arg: str, convert, flag: str):
+    try:
+        return [convert(v) for v in _parse_names(arg)]
+    except ValueError:
+        raise InputError(f"{flag} must be a comma-separated list of numbers") from None
 
 
 def _build_inputs(args):
@@ -168,11 +172,19 @@ def _fit_payload(panel, fit, x_names, break_names) -> dict:
         "theta_se": dict(
             zip(list(x_names) + [f"break:{n}" for n in break_names], se.tolist())
         ),
-        "ssr_profile": {
-            "dates": list(fit.ssr_profile.candidate_dates),
-            "ssr": list(fit.ssr_profile.ssr_values),
-        },
+        "ssr_profile": _ssr_payload(fit.ssr_profile),
     }
+
+
+def _ssr_payload(profile) -> dict:
+    return {"dates": list(profile.candidate_dates), "ssr": list(profile.ssr_values)}
+
+
+def _warnings(wald=None, fits=()) -> list:
+    warnings = []
+    if wald is not None and wald.excluded_dates:
+        warnings.append({"kind": "excluded_candidates", "dates": list(wald.excluded_dates)})
+    return warnings + [{"kind": "ci_clamped", "b_hat": f.b_hat} for f in fits if f.ci_clamped]
 
 
 def _report(args, stages, warnings) -> dict:
@@ -201,7 +213,7 @@ def _write_out(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _render_text(report: dict, indent: int = 0) -> str:
+def _render_text(report: dict) -> str:
     lines = []
 
     def walk(node, depth):
@@ -221,20 +233,16 @@ def _render_text(report: dict, indent: int = 0) -> str:
                 else:
                     lines.append(f"{pad}- {value}")
 
-    walk(report, indent)
+    walk(report, 0)
     return "\n".join(lines) + "\n"
 
 
 def _cmd_detect(args) -> int:
     panel, spec, hac, x_names, break_names = _build_inputs(args)
     stages: dict = {}
-    warnings: list = []
+    breaks = []
     wald = sup_wald(panel, spec, hac, args.alpha)
     stages["sup_wald"] = _wald_payload(panel, wald)
-    if wald.excluded_dates:
-        warnings.append(
-            {"kind": "excluded_candidates", "dates": list(wald.excluded_dates)}
-        )
     if wald.reject_sw:
         breaks = sequential_breaks(
             panel, spec, hac, args.alpha, max_breaks=args.max_breaks, full_sample_wald=wald
@@ -248,24 +256,16 @@ def _cmd_detect(args) -> int:
             }
             for br in breaks
         ]
-        for br in breaks:
-            if br.fit.ci_clamped:
-                warnings.append({"kind": "ci_clamped", "b_hat": br.fit.b_hat})
     else:
         stages["decision"] = "no break detected"
-    _emit(args, _report(args, stages, warnings))
+    _emit(args, _report(args, stages, _warnings(wald, [br.fit for br in breaks])))
     return EXIT_OK
 
 
 def _cmd_test(args) -> int:
     panel, spec, hac, _, _ = _build_inputs(args)
     wald = sup_wald(panel, spec, hac, args.alpha)
-    warnings = []
-    if wald.excluded_dates:
-        warnings.append(
-            {"kind": "excluded_candidates", "dates": list(wald.excluded_dates)}
-        )
-    _emit(args, _report(args, {"sup_wald": _wald_payload(panel, wald)}, warnings))
+    _emit(args, _report(args, {"sup_wald": _wald_payload(panel, wald)}, _warnings(wald)))
     return EXIT_OK
 
 
@@ -273,13 +273,7 @@ def _cmd_estimate(args) -> int:
     panel, spec, _, _, _ = _build_inputs(args)
     profile = estimate_breakpoint(panel, spec)
     stages = {
-        "estimate": {
-            "b_hat": _date(panel, profile.b_hat),
-            "ssr_profile": {
-                "dates": list(profile.candidate_dates),
-                "ssr": list(profile.ssr_values),
-            },
-        }
+        "estimate": {"b_hat": _date(panel, profile.b_hat), "ssr_profile": _ssr_payload(profile)}
     }
     _emit(args, _report(args, stages, []))
     return EXIT_OK
@@ -288,50 +282,41 @@ def _cmd_estimate(args) -> int:
 def _cmd_ci(args) -> int:
     panel, spec, _, x_names, break_names = _build_inputs(args)
     fit = fit_break(panel, spec, alpha=args.alpha)
-    warnings = []
-    if fit.ci_clamped:
-        warnings.append({"kind": "ci_clamped", "b_hat": fit.b_hat})
-    _emit(
-        args,
-        _report(args, {"fit": _fit_payload(panel, fit, x_names, break_names)}, warnings),
-    )
+    stages = {"fit": _fit_payload(panel, fit, x_names, break_names)}
+    _emit(args, _report(args, stages, _warnings(fits=[fit])))
     return EXIT_OK
 
 
-_SIM_INT_KEYS = {"n_units", "n_periods", "k", "r", "m", "n_known", "b0", "seed", "reps"}
-_SIM_FLOAT_KEYS = {
-    "factor_rho",
-    "loading_mean",
-    "loading_scale",
-    "v_scale",
-    "alpha",
+# Value types of the simulate config keys: the run_experiment arguments,
+# then the DgpConfig fields by their annotations.
+_SIM_KINDS = {
+    "pipeline": "str",
+    "reps": "int",
+    "alpha": "float",
+    **{f.name: f.type for f in fields(DgpConfig)},
 }
-_SIM_TUPLE_KEYS = {"beta", "delta", "eps_variance_range"}
+
+
+def _sim_value(key: str, value: str):
+    kind = _SIM_KINDS.get(key)
+    if kind is None:
+        raise InputError(f"unknown simulate config key {key!r}")
+    if kind == "str":
+        return value
+    if "None" in kind and value.lower() == "none":
+        return None
+    try:
+        if kind == "tuple":
+            return tuple(float(v) for v in value.split(","))
+        return (int if kind.startswith("int") else float)(value)
+    except ValueError:
+        raise InputError(f"simulate config key {key!r}: {value!r} is not a {kind}") from None
 
 
 def _cmd_simulate(args) -> int:
-    raw = read_keyvalue_config(args.config)
-    dgp_kwargs: dict = {}
-    reps = 100
-    alpha = 0.05
-    pipeline = "FULL"
-    for key, value in raw.items():
-        if key == "pipeline":
-            pipeline = value
-        elif key == "reps":
-            reps = int(value)
-        elif key == "alpha":
-            alpha = float(value)
-        elif key in _SIM_INT_KEYS:
-            dgp_kwargs[key] = None if value.lower() == "none" else int(value)
-        elif key in _SIM_FLOAT_KEYS:
-            dgp_kwargs[key] = float(value)
-        elif key in _SIM_TUPLE_KEYS:
-            dgp_kwargs[key] = tuple(float(v) for v in value.split(","))
-        else:
-            raise InputError(f"unknown simulate config key {key!r}")
-    config = DgpConfig(**dgp_kwargs)
-    report = run_experiment(config, pipeline=pipeline, reps=reps, alpha=alpha)
+    values = {k: _sim_value(k, v) for k, v in read_keyvalue_config(args.config).items()}
+    run = {k: values.pop(k) for k in ("pipeline", "reps", "alpha") if k in values}
+    report = run_experiment(DgpConfig(**values), **run)
     if args.format == "json":
         text = report.to_json() + "\n"
     else:
@@ -341,11 +326,13 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_tables(args) -> int:
-    orders = [int(v) for v in _parse_names(args.orders)]
+    orders = _parse_numbers(args.orders, int, "--orders")
     if any(r < 1 for r in orders):
         raise InputError("Bessel orders must be >= 1")
-    trims = [float(v) for v in _parse_names(args.trims)]
-    alphas = [float(v) for v in _parse_names(args.alphas)]
+    trims = _parse_numbers(args.trims, float, "--trims")
+    alphas = _parse_numbers(args.alphas, float, "--alphas")
+    if not all(0.0 < a < 1.0 for a in alphas):
+        raise InputError("--alphas must lie in (0, 1)")
     sim = limits.SimConfig(n_paths=args.n_paths, seed=args.seed)
     payload = limits.generate_default_tables(
         sim, orders=orders, trims=trims, alphas=alphas
@@ -355,8 +342,7 @@ def _cmd_tables(args) -> int:
     sys.stdout.write(f"wrote {len(payload['tables'])} tables to {out}\n")
     for table in payload["tables"]:
         sys.stdout.write(
-            f"{table['law']} params={tuple(table['params'])} "
-            f"quantiles={table['quantiles']}\n"
+            f"sup_bessel r={table['r']} eps={table['eps']} quantiles={table['quantiles']}\n"
         )
     return EXIT_OK
 
@@ -376,9 +362,6 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
     except (InputError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import confidence_interval, estimate_breakpoint, cce_fit, ProjectorMode
+from .estimator import confidence_interval, estimate_breakpoint
 from .exceptions import ConfigInvariantViolation, ExperimentError, PanelBreakError
+from .limits import argmax_quantile, sup_bessel_critical
 from .panel import BreakSpec, PanelData
 from .wald import HacConfig, sup_wald
 
@@ -204,12 +205,8 @@ def run_experiment(
     test = pipeline in {"TEST", "FULL"}
     spec = config.break_spec()
     if estimate and c_alpha is None:
-        from .limits import argmax_quantile
-
         c_alpha = argmax_quantile(1.0 - alpha / 2.0)
     if test and sw_critical is None:
-        from .limits import sup_bessel_critical
-
         sw_critical = sup_bessel_critical(spec.n_breaking, spec.trim_fraction, alpha)
 
     seeds = np.random.SeedSequence(config.seed).spawn(reps)
@@ -225,10 +222,7 @@ def run_experiment(
                 if truth.b0 is not None:
                     hits.append(b_hat == truth.b0)
                     abs_errors.append(abs(b_hat - truth.b0))
-                fit = cce_fit(panel, spec, b_hat, ProjectorMode.ESTIMATION)
-                lower, upper, _ = confidence_interval(
-                    panel, spec, b_hat, alpha, c_alpha=c_alpha, fit=fit
-                )
+                lower, upper, _ = confidence_interval(panel, spec, b_hat, alpha, c_alpha=c_alpha)
                 widths.append(upper - lower + 1)
                 if truth.b0 is not None:
                     covered.append(lower <= truth.b0 <= upper)

@@ -22,6 +22,7 @@ from .exceptions import (
     RankDeficientDesign,
     ZeroBreakMagnitude,
 )
+from .limits import argmax_quantile
 from .linalg import (
     Projector,
     compensated_sum_of_squares,
@@ -76,7 +77,6 @@ class CceFit:
     """
 
     break_date: int
-    mode: ProjectorMode
     delta: np.ndarray
     beta: np.ndarray
     residuals: np.ndarray
@@ -131,7 +131,6 @@ def cce_fit(panel: PanelData, spec: BreakSpec, b: int, mode: ProjectorMode) -> C
     ws = np.column_stack([xs, zs])
     return CceFit(
         break_date=b,
-        mode=mode,
         delta=delta,
         beta=coef_y[:, 0] - coef_y[:, 1:] @ delta,
         residuals=eps.reshape(n, t),
@@ -265,7 +264,6 @@ class TestingProfile:
         rz = rows[:, zs] - rows[:, xs] @ coef[:, zs]
         return CceFit(
             break_date=b,
-            mode=ProjectorMode.TESTING,
             delta=delta,
             beta=beta,
             residuals=resid.reshape(t, n).T,
@@ -333,16 +331,24 @@ def interval_half_width(
     n_units: int,
     c_alpha: float,
 ) -> int:
-    """Half-width floor(c * num / (N * den^2)) + 1 of the date interval."""
-    r_omega = selection.T @ omega_x @ selection
-    r_phi = selection.T @ phi_x @ selection
-    den = float(delta @ r_omega @ delta)
-    num = float(delta @ r_phi @ delta)
-    if float(delta @ delta) == 0.0:
+    """Half-width floor(c * num / (N * den^2)) + 1 of the date interval.
+
+    num and den^2 both scale as |delta|^4, so the forms are taken on
+    delta / max|delta| and the ratio is rescaled once; the raw forms
+    under- or overflow long before the ratio does.
+    """
+    scale = float(np.max(np.abs(delta)))
+    if scale == 0.0:
         raise ZeroBreakMagnitude("estimated break size is zero; interval is infinite")
+    unit = delta / scale
+    den = float(unit @ (selection.T @ omega_x @ selection) @ unit)
+    num = float(unit @ (selection.T @ phi_x @ selection) @ unit)
     if den <= 0.0:
         raise DegenerateScale("quadratic form in omega_x is not positive")
-    return int(math.floor(c_alpha * num / (n_units * den * den))) + 1
+    ratio = c_alpha * (num / scale / scale) / den / den / n_units
+    if not math.isfinite(ratio):
+        raise DegenerateScale(f"interval half-width {ratio} is not finite")
+    return int(math.floor(ratio)) + 1
 
 
 @dataclass(frozen=True)
@@ -369,46 +375,38 @@ def confidence_interval(
     b_hat: int,
     alpha: float,
     c_alpha: float | None = None,
-    fit: CceFit | None = None,
 ):
     """Confidence interval for the true break date at level 1 - alpha.
+
+    The moments come from the ESTIMATION-mode ``cce_fit`` at ``b_hat``,
+    the same fit ``fit_break`` uses.
 
     Parameters
     ----------
     c_alpha : float, optional
         The (1 - alpha/2) percentile of the argmax limit law. Looked up
         via :mod:`panelbreak.limits` when omitted.
-    fit : CceFit, optional
-        Estimation-mode fit at ``b_hat`` (recomputed when omitted).
 
     Returns
     -------
     (lower, upper, clamped) with endpoints clamped to [1, T-1].
     """
-    _check_alpha(alpha)
-    if fit is None or fit.break_date != b_hat or fit.mode is not ProjectorMode.ESTIMATION:
-        fit = cce_fit(panel, spec, b_hat, ProjectorMode.ESTIMATION)
-    omega, phi, _ = moment_estimates(panel, fit)
-    return _interval(panel, spec, b_hat, alpha, c_alpha, fit.delta, omega, phi)
+    return _interval(panel, spec, b_hat, alpha, c_alpha)[0]
 
 
-def _check_alpha(alpha: float) -> None:
+def _interval(panel, spec, b_hat, alpha, c_alpha):
+    """The interval at ``b_hat``, with the fit and the moments it came from."""
     if not (0.0 < alpha <= 1.0):
         raise InputError("alpha must lie in (0, 1]")
-
-
-def _interval(panel, spec, b_hat, alpha, c_alpha, delta, omega, phi):
+    fit = cce_fit(panel, spec, b_hat, ProjectorMode.ESTIMATION)
+    omega, phi, sigma_i = moment_estimates(panel, fit)
     if c_alpha is None:
-        from .limits import argmax_quantile
-
         c_alpha = argmax_quantile(1.0 - alpha / 2.0)
-    if not np.any(delta):
-        raise ZeroBreakMagnitude("estimated break size is zero; interval is infinite")
-    w = interval_half_width(delta, spec.selection, omega, phi, panel.n_units, c_alpha)
+    w = interval_half_width(fit.delta, spec.selection, omega, phi, panel.n_units, c_alpha)
     lower, upper = b_hat - w, b_hat + w
     t_max = panel.n_periods - 1
-    clamped = lower < 1 or upper > t_max
-    return max(1, lower), min(t_max, upper), clamped
+    interval = (max(1, lower), min(t_max, upper), lower < 1 or upper > t_max)
+    return interval, fit, (omega, phi, sigma_i)
 
 
 def estimate_theta(panel: PanelData, spec: BreakSpec, b: int):
@@ -441,10 +439,8 @@ def fit_break(
     """Full dating pipeline: profile, argmin, interval, coefficients."""
     profile = estimate_breakpoint(panel, spec)
     b_hat = profile.b_hat
-    fit = cce_fit(panel, spec, b_hat, ProjectorMode.ESTIMATION)
-    omega, phi, sigma_i = moment_estimates(panel, fit)
-    _check_alpha(alpha)
-    lower, upper, clamped = _interval(panel, spec, b_hat, alpha, c_alpha, fit.delta, omega, phi)
+    interval, fit, (omega, phi, sigma_i) = _interval(panel, spec, b_hat, alpha, c_alpha)
+    lower, upper, clamped = interval
     theta, cov = estimate_theta(panel, spec, b_hat)
     return BreakFit(
         b_hat=b_hat,

@@ -7,16 +7,16 @@ Law two: the supremum over the trimmed fractions of the squared
 standardized tied-down Bessel process of order r, which governs the
 sup-Wald statistic. It is simulated on a grid.
 
-Simulated quantiles ship in a versioned JSON cache; everything there is
-reproducible from (seed, grid, n_paths).
+Simulated quantiles ship in a versioned JSON cache (schema 2). Each entry
+is a plain record {r, eps, grid_points, n_paths, seed, quantiles}, keyed
+by everything but its quantiles, and is reproducible from those fields.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
-from enum import Enum
+from dataclasses import asdict, dataclass
 from importlib import resources
 
 import numpy as np
@@ -25,17 +25,13 @@ from scipy.special import erfcx, gammaincinv, ndtr
 from .exceptions import InputError
 from .io import write_text_atomic
 
-_CACHE_SCHEMA_VERSION = 1
+_CACHE_SCHEMA_VERSION = 2
 _DEFAULT_SEED = 20230815
 _PROB_FMT = "%.6f"
 
 DEFAULT_BESSEL_ORDERS = (1, 2, 3, 4, 5, 6)
 DEFAULT_TRIMS = (0.05, 0.10, 0.15, 0.20)
 DEFAULT_ALPHAS = (0.01, 0.05, 0.10)
-
-
-class LimitLaw(Enum):
-    SUP_BESSEL = "sup_bessel"
 
 
 @dataclass(frozen=True)
@@ -51,40 +47,8 @@ class SimConfig:
             raise InputError("invalid simulation config")
 
 
-@dataclass(frozen=True)
-class QuantileTable:
-    law: LimitLaw
-    params: tuple  # (r, eps)
-    grid_step: float
-    horizon: float
-    n_paths: int
-    seed: int
-    quantiles: dict  # probability (str, 6 decimals) -> value
-
-    def key(self):
-        return _table_key(self.law, self.params, self.grid_step, self.n_paths, self.seed)
-
-    def to_dict(self):
-        d = asdict(self)
-        d["law"] = self.law.value
-        d["params"] = list(self.params)
-        return d
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(
-            law=LimitLaw(d["law"]),
-            params=tuple(d["params"]),
-            grid_step=float(d["grid_step"]),
-            horizon=float(d["horizon"]),
-            n_paths=int(d["n_paths"]),
-            seed=int(d["seed"]),
-            quantiles={str(k): float(v) for k, v in d["quantiles"].items()},
-        )
-
-
-def _table_key(law, params, grid_step, n_paths, seed):
-    return (law.value, tuple(np.round(params, 10)), round(grid_step, 12), n_paths, seed)
+def _entry_key(entry: dict) -> tuple:
+    return (entry["r"], round(entry["eps"], 10), entry["grid_points"], entry["n_paths"], entry["seed"])
 
 
 def chi_squared_quantile(r: int, prob: float) -> float:
@@ -158,26 +122,19 @@ def _sup_bessel_samples(r: int, sim: SimConfig, trims) -> dict:
     return out
 
 
-def _sup_bessel_tables(r: int, sim: SimConfig, trims, probs) -> "list[QuantileTable]":
+def _sup_bessel_entries(r: int, sim: SimConfig, trims, probs) -> "list[dict]":
     samples = _sup_bessel_samples(r, sim, trims)
-    tables = []
-    for eps in trims:
-        qs = {
-            _PROB_FMT % p: float(np.quantile(samples[eps], p))
-            for p in sorted(set(probs))
+    return [
+        {
+            "r": r,
+            "eps": eps,
+            **asdict(sim),
+            "quantiles": {
+                _PROB_FMT % p: float(np.quantile(samples[eps], p)) for p in sorted(set(probs))
+            },
         }
-        tables.append(
-            QuantileTable(
-                law=LimitLaw.SUP_BESSEL,
-                params=(r, eps),
-                grid_step=1.0 / sim.grid_points,
-                horizon=1.0,
-                n_paths=sim.n_paths,
-                seed=sim.seed,
-                quantiles=qs,
-            )
-        )
-    return tables
+        for eps in trims
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -211,19 +168,26 @@ def load_tables(payload: dict) -> int:
             f"unsupported cache schema {payload.get('schema_version')!r}"
         )
     tables = payload.get("tables", [])
-    for entry in tables:
+    for raw in tables:
         try:
-            table = QuantileTable.from_dict(entry)
-        except (KeyError, ValueError) as err:
+            entry = {
+                "r": int(raw["r"]),
+                "eps": float(raw["eps"]),
+                "grid_points": int(raw["grid_points"]),
+                "n_paths": int(raw["n_paths"]),
+                "seed": int(raw["seed"]),
+                "quantiles": {str(k): float(v) for k, v in raw["quantiles"].items()},
+            }
+        except (AttributeError, KeyError, TypeError, ValueError) as err:
             raise InputError(f"malformed cache entry: {err!r}") from None
-        _store(table)
+        _store(entry)
     return len(tables)
 
 
 def dump_tables() -> dict:
     return {
         "schema_version": _CACHE_SCHEMA_VERSION,
-        "tables": [t.to_dict() for t in _memory_cache.values()],
+        "tables": [dict(e, quantiles=dict(e["quantiles"])) for e in _memory_cache.values()],
     }
 
 
@@ -233,12 +197,13 @@ def write_cache(path, payload: dict | None = None) -> None:
     write_text_atomic(path, json.dumps(payload, indent=1, sort_keys=True))
 
 
-def _store(table: QuantileTable) -> QuantileTable:
-    existing = _memory_cache.get(table.key())
+def _store(entry: dict) -> dict:
+    key = _entry_key(entry)
+    existing = _memory_cache.get(key)
     if existing is not None:
-        table = replace(table, quantiles={**existing.quantiles, **table.quantiles})
-    _memory_cache[table.key()] = table
-    return table
+        entry = dict(entry, quantiles={**existing["quantiles"], **entry["quantiles"]})
+    _memory_cache[key] = entry
+    return entry
 
 
 def clear_memory_cache() -> None:
@@ -289,16 +254,12 @@ def sup_bessel_critical(
         raise InputError("alpha must lie in (0, 1)")
     sim = sim or SimConfig()
     _load_packaged()
-    key = _table_key(
-        LimitLaw.SUP_BESSEL, (r, eps), 1.0 / sim.grid_points, sim.n_paths, sim.seed
-    )
     prob = 1.0 - alpha
     pkey = _PROB_FMT % prob
-    table = _memory_cache.get(key)
-    if table is not None and pkey in table.quantiles:
-        return table.quantiles[pkey]
-    table = _store(_sup_bessel_tables(r, sim, [eps], [prob])[0])
-    return table.quantiles[pkey]
+    entry = _memory_cache.get(_entry_key({"r": r, "eps": eps, **asdict(sim)}))
+    if entry is not None and pkey in entry["quantiles"]:
+        return entry["quantiles"][pkey]
+    return _store(_sup_bessel_entries(r, sim, [eps], [prob])[0])["quantiles"][pkey]
 
 
 def generate_default_tables(
@@ -310,12 +271,7 @@ def generate_default_tables(
     """Recompute the shipped sup-Bessel cache grid; returns the cache payload."""
     sim = sim or SimConfig()
     bessel_probs = sorted({1.0 - a for a in alphas})
-    tables = []
-    for r in orders:
-        tables.extend(_sup_bessel_tables(r, sim, trims, bessel_probs))
-    for t in tables:
-        _store(t)
-    return {
-        "schema_version": _CACHE_SCHEMA_VERSION,
-        "tables": [t.to_dict() for t in tables],
-    }
+    tables = [e for r in orders for e in _sup_bessel_entries(r, sim, trims, bessel_probs)]
+    for entry in tables:
+        _store(entry)
+    return {"schema_version": _CACHE_SCHEMA_VERSION, "tables": tables}

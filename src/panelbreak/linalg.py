@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import NonFiniteInput
+from .exceptions import InputError, NonFiniteInput
 from .panel import PanelData
 
 
@@ -48,7 +48,7 @@ class Projector:
             return cls(q=empty)
         cols = np.asarray(columns, dtype=float)
         if cols.ndim != 2 or cols.shape[0] != n_rows:
-            raise NonFiniteInput(f"basis must be {n_rows} x q")
+            raise InputError(f"basis must be {n_rows} x q")
         if not np.all(np.isfinite(cols)):
             raise NonFiniteInput("annihilator basis contains non-finite values")
         u, s, _ = np.linalg.svd(cols, full_matrices=False)

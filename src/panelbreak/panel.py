@@ -293,7 +293,7 @@ def z_regressors(panel: PanelData, spec: BreakSpec, b: int) -> np.ndarray:
 def estimation_candidates(spec: BreakSpec, n_periods: int) -> "list[int]":
     """The estimation candidate set B = [r, T-r-1]."""
     r = spec.n_breaking
-    return [b for b in range(r, n_periods - r) if 1 <= b <= n_periods - 1]
+    return list(range(r, n_periods - r))
 
 
 def testing_candidates(spec: BreakSpec, n_periods: int) -> "list[int]":
@@ -305,5 +305,5 @@ def testing_candidates(spec: BreakSpec, n_periods: int) -> "list[int]":
     eps = spec.trim_fraction
     lo = int(np.floor(eps * n_periods))
     hi = int(np.floor((1.0 - eps) * n_periods))
-    full = set(estimation_candidates(spec, n_periods))
-    return [b for b in range(lo, hi + 1) if b in full]
+    r = spec.n_breaking
+    return list(range(max(lo, r), min(hi, n_periods - r - 1) + 1))

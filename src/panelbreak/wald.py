@@ -22,6 +22,7 @@ from .exceptions import (
     SingularCovariance,
     StatisticalError,
 )
+from .limits import chi_squared_quantile, sup_bessel_critical
 from .panel import BreakSpec, PanelData, testing_candidates
 
 
@@ -191,11 +192,7 @@ def sup_wald(
     sw_index = int(np.argmax(values))
     sw = values[sw_index]
     if sw_critical is None:
-        from .limits import sup_bessel_critical
-
         sw_critical = sup_bessel_critical(spec.n_breaking, spec.trim_fraction, alpha)
-    from .limits import chi_squared_quantile
-
     chi2_crit = chi_squared_quantile(spec.n_breaking, 1.0 - alpha)
     return WaldResult(
         candidate_dates=tuple(dates),

@@ -25,7 +25,6 @@ from panelbreak import (
 )
 from panelbreak.estimator import ProjectorMode
 from panelbreak.limits import (
-    _sup_bessel_samples,
     argmax_quantile,
     chi_squared_quantile,
 )

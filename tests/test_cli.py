@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from panelbreak import DgpConfig, PanelData, generate
+from panelbreak import DgpConfig, PanelData, SimConfig, generate, limits
 from panelbreak.cli import EXIT_OK, EXIT_STATISTICAL, EXIT_USAGE, main
 from panelbreak.io import write_panel_csv
 
@@ -157,6 +157,22 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg)]) == EXIT_USAGE
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "line", ["reps = abc", "n_units = 1.5", "beta = a,b", "n_units = none"]
+    )
+    def test_malformed_value_is_usage_error(self, capsys, tmp_path, line):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(f"n_periods = 10\nreps = 1\n{line}\n")
+        assert main(["simulate", "--config", str(cfg)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_none_only_for_b0(self, capsys, tmp_path):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("n_units = 30\nn_periods = 10\nb0 = none\nreps = 2\npipeline = TEST\n")
+        code, report = run_json(capsys, ["simulate", "--config", str(cfg)])
+        assert code == EXIT_OK
+        assert set(report["metrics"]) == {"rejection_rate"}
+
 
 class TestTables:
     def test_small_regeneration(self, capsys, tmp_path):
@@ -175,8 +191,39 @@ class TestTables:
         capsys.readouterr()
         assert code == EXIT_OK
         payload = json.loads(out.read_text())
-        assert payload["schema_version"] == 1
+        assert payload["schema_version"] == 2
         assert len(payload["tables"]) == 1  # one Bessel table; the argmax law is closed form
+
+    def test_written_cache_serves_lookups(self, capsys, tmp_path, monkeypatch):
+        out = tmp_path / "cache.json"
+        argv = ["tables", "--orders", "2", "--trims", "0.1", "--alphas", "0.05"]
+        assert main([*argv, "--n-paths", "500", "--seed", "5", "--out", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        limits.clear_memory_cache()
+        payload = json.loads(out.read_text())
+        assert limits.load_tables(payload) == 1
+
+        def fail(*args):
+            raise AssertionError("lookup simulated")
+
+        monkeypatch.setattr(limits, "_sup_bessel_samples", fail)
+        value = limits.sup_bessel_critical(2, 0.1, 0.05, sim=SimConfig(n_paths=500, seed=5))
+        assert value == payload["tables"][0]["quantiles"]["0.950000"]
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--alphas", "1.5"), ("--alphas", "abc"), ("--alphas", "0"), ("--orders", "1.5")],
+    )
+    def test_malformed_list_is_usage_error(self, capsys, tmp_path, monkeypatch, flag, value):
+        def fail(*args):
+            raise AssertionError("simulated before validating")
+
+        monkeypatch.setattr(limits, "_sup_bessel_samples", fail)
+        out = tmp_path / "c.json"
+        argv = ["tables", "--orders", "1", "--trims", "0.15", "--n-paths", "500", "--out", str(out)]
+        assert main([*argv, flag, value]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
     def test_bad_order_is_usage_error(self, capsys, tmp_path):
         code = main(["tables", "--orders", "0", "--out", str(tmp_path / "c.json")])

@@ -5,12 +5,14 @@ import pytest
 
 from panelbreak import (
     BreakSpec,
+    DgpConfig,
     PanelData,
     cce_fit,
     confidence_interval,
     estimate_breakpoint,
     estimate_theta,
     fit_break,
+    generate,
     ssr_at,
 )
 from panelbreak.estimator import (
@@ -186,6 +188,29 @@ class TestConfidenceInterval:
                 n_units=10,
                 c_alpha=5.0,
             )
+
+    def test_unbounded_width_raises(self):
+        # den^2 underflows to zero: the width is not finite.
+        with pytest.raises(DegenerateScale, match="not finite"):
+            interval_half_width(
+                delta=np.ones(1),
+                selection=np.array([[1.0]]),
+                omega_x=np.array([[1e-200]]),
+                phi_x=np.eye(1),
+                n_units=10,
+                c_alpha=5.0,
+            )
+
+    @pytest.mark.parametrize("scale", [1e-100, 1e80])
+    def test_outcome_scale_leaves_interval(self, scale):
+        # num and den^2 both scale as y^4; their ratio does not.
+        config = DgpConfig(n_units=50, n_periods=10, seed=3)
+        panel, _ = generate(config)
+        spec = config.break_spec()
+        base = fit_break(panel, spec)
+        scaled = fit_break(PanelData(y=scale * panel.y, x=panel.x), spec)
+        assert (base.b_hat, base.ci_lower, base.ci_upper) == (5, 4, 6)
+        assert (scaled.b_hat, scaled.ci_lower, scaled.ci_upper) == (5, 4, 6)
 
     def test_alpha_domain(self, rng):
         panel, spec = exact_break_panel(rng)

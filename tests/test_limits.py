@@ -67,6 +67,12 @@ class TestPackagedTables:
                     sup_crit = sup_bessel_critical(r, eps, alpha)
                     assert sup_crit > chi_squared_quantile(r, 1.0 - alpha)
 
+    def test_shipped_values_exact(self):
+        # Copied from the schema-1 cache; the schema-2 rewrite kept every bit.
+        assert sup_bessel_critical(1, 0.15, 0.05) == 8.679960386675582
+        assert sup_bessel_critical(2, 0.05, 0.01) == 16.443444255772906
+        assert sup_bessel_critical(6, 0.20, 0.10) == 17.48787720543788
+
     def test_chi_squared_oracle(self):
         assert chi_squared_quantile(1, 0.95) == pytest.approx(3.841459, abs=1e-5)
         assert chi_squared_quantile(2, 0.95) == pytest.approx(5.991465, abs=1e-5)
@@ -144,17 +150,19 @@ class TestCacheIO:
         path = tmp_path / "cache.json"
         write_cache(path, payload)
         on_disk = json.loads(path.read_text())
-        assert on_disk["schema_version"] == 1
+        assert on_disk["schema_version"] == 2
         assert load_tables(on_disk) == len(payload["tables"])
 
     def test_bad_schema_rejected(self):
         with pytest.raises(InputError):
             load_tables({"schema_version": 999, "tables": []})
 
-    def test_unknown_law_rejected(self):
-        sup_bessel_critical(1, 0.15, 0.05)
-        entry = dict(dump_tables()["tables"][0], law="argmax_two_sided_bm")
-        with pytest.raises(InputError, match="malformed cache entry"):
+    def test_schema_one_rejected(self):
+        entry = {
+            "law": "sup_bessel", "params": [1, 0.15], "grid_step": 0.0005, "horizon": 1.0,
+            "n_paths": 200000, "seed": 20230815, "quantiles": {"0.950000": 8.68},
+        }
+        with pytest.raises(InputError, match="unsupported cache schema 1"):
             load_tables({"schema_version": 1, "tables": [entry]})
 
     def test_missing_key_rejected(self):
@@ -162,7 +170,7 @@ class TestCacheIO:
         entry = dict(dump_tables()["tables"][0])
         del entry["quantiles"]
         with pytest.raises(InputError, match="malformed cache entry"):
-            load_tables({"schema_version": 1, "tables": [entry]})
+            load_tables({"schema_version": 2, "tables": [entry]})
 
     def test_atomic_write_leaves_no_temp(self, tmp_path):
         path = tmp_path / "cache.json"

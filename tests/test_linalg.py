@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from panelbreak import PanelData, Projector, cross_sectional_average
-from panelbreak.exceptions import NonFiniteInput
+from panelbreak.exceptions import InputError, NonFiniteInput
 from panelbreak.linalg import compensated_sum_of_squares
 
 from conftest import oracle_annihilator, random_panel
@@ -76,10 +76,10 @@ class TestAnnihilator:
             Projector.from_columns(np.array([[1.0], [np.nan]]), 2)
 
     def test_wrong_shape_rejected(self, rng):
-        with pytest.raises(NonFiniteInput):
-            Projector.from_columns(rng.standard_normal((5, 2)), 6)
-        with pytest.raises(NonFiniteInput):
-            Projector.from_columns(rng.standard_normal(6), 6)
+        for cols in (rng.standard_normal((5, 2)), rng.standard_normal(6)):
+            with pytest.raises(InputError, match="basis must be 6 x q") as err:
+                Projector.from_columns(cols, 6)
+            assert not isinstance(err.value, NonFiniteInput)
 
 
 class TestCompensatedSum:
