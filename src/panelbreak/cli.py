@@ -238,6 +238,8 @@ def _render_text(report: dict) -> str:
 
 
 def _cmd_detect(args) -> int:
+    if args.max_breaks < 1:
+        raise InputError("max_breaks must be >= 1")
     panel, spec, hac, x_names, break_names = _build_inputs(args)
     stages: dict = {}
     breaks = []

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimator import confidence_interval, estimate_breakpoint
-from .exceptions import ConfigInvariantViolation, ExperimentError, PanelBreakError
+from .exceptions import ConfigInvariantViolation, ExperimentError, InputError, PanelBreakError
 from .limits import argmax_quantile, sup_bessel_critical
 from .panel import BreakSpec, PanelData
 from .wald import HacConfig, sup_wald
@@ -200,6 +200,11 @@ def run_experiment(
         raise ConfigInvariantViolation(f"unknown pipeline {pipeline!r}")
     if reps < 1:
         raise ConfigInvariantViolation("reps must be >= 1")
+    # The alpha ranges of confidence_interval and sup_wald, checked before any replication.
+    if pipeline == "ESTIMATE" and not 0.0 < alpha <= 1.0:
+        raise InputError("alpha must lie in (0, 1]")
+    if pipeline != "ESTIMATE" and not 0.0 < alpha < 1.0:
+        raise InputError("alpha must lie in (0, 1)")
     hac = hac or HacConfig()
     estimate = pipeline in {"ESTIMATE", "FULL"}
     test = pipeline in {"TEST", "FULL"}

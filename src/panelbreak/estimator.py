@@ -217,60 +217,95 @@ def _estimation_ssrs(panel: PanelData, spec: BreakSpec, dates: "list[int]") -> "
     return values
 
 
-class TestingProfile:
-    """TESTING-mode fits at the candidate dates of one panel.
+# Bytes of N*T*(1+k+r) float64 working data that one chunk of testing
+# dates may hold: all 8 dates of a 200 x 10 panel, one date of a 100 x 240.
+_CHUNK_BYTES = 512 * 1024
 
-    [y, X, XR] is laid out time-major once. At each date the projector
-    Q_b comes from ``Projector.from_columns`` (the same rank cutoffs as
-    ``cce_fit``), two thin products project the data, and the Frisch-Waugh
-    solves run on the (1+k+r) x (1+k+r) Gram matrix. ``fit`` returns None
-    where a guard leaves the decision to ``cce_fit``.
+
+@dataclass(frozen=True)
+class FitStack:
+    """TESTING-mode fits at B dates, stacked along a leading axis.
+
+    ``resid`` (B, T*N) and ``z_partialled`` (B, T*N, r) are time-major:
+    row t*N + i is unit i in period t.
+    """
+
+    dates: tuple
+    n_units: int
+    delta: np.ndarray
+    resid: np.ndarray
+    z_partialled: np.ndarray
+    ssr: np.ndarray
+    y_ss: np.ndarray
+
+
+class TestingProfile:
+    """TESTING-mode fits at the candidate dates of one panel, a chunk at a time.
+
+    [y, X, XR] is laid out time-major once, and X̄ and X̄R are formed once.
+    A chunk of dates takes one stacked SVD of its proxy columns (each
+    slice with the rank cutoff of ``Projector.from_columns``, dropped
+    directions zeroed), one batched projection, and the Frisch-Waugh
+    solves on the stack of (1+k+r) x (1+k+r) Gram matrices. A date that
+    a guard rejects is left out of the stack, for ``cce_fit`` to decide.
     """
 
     def __init__(self, panel: PanelData, spec: BreakSpec):
+        _, t, k = self._shape = panel.x.shape
         z = panel.x @ spec.selection
-        self.panel, self.spec = panel, spec
         self._data = np.ascontiguousarray(
             np.concatenate([panel.y[:, :, None], panel.x, z], axis=2).transpose(1, 0, 2)
         )
         self._x_ss = np.sum(panel.x * panel.x)
         self._z_ss = np.flip(np.cumsum(np.flip(np.sum(z * z, axis=(0, 2)))))
+        xbar = cross_sectional_average(panel)
+        d = np.empty((t, 0)) if panel.d is None else panel.d
+        # The TESTING proxies of projection_columns: D, D(b), X̄, X̄R(b).
+        self._proxies = np.hstack([d, d, xbar, xbar @ spec.selection])
+        self._masked = np.repeat([False, True, False, True], [d.shape[1], d.shape[1], k, spec.n_breaking])
+        self._chunk = max(1, _CHUNK_BYTES // self._data.nbytes)
 
-    def fit(self, b: int) -> "CceFit | None":
-        panel, spec = self.panel, self.spec
-        n, t, k = panel.x.shape
-        r = spec.n_breaking
+    def fits(self, dates):
+        """Yield a FitStack of the guarded fits for each chunk of ``dates``."""
+        for start in range(0, len(dates), self._chunk):
+            yield self._fit_chunk(np.asarray(dates[start : start + self._chunk]))
+
+    def _fit_chunk(self, dates: np.ndarray) -> FitStack:
+        n, t, k = self._shape
         xs, zs = slice(1, 1 + k), slice(1 + k, None)
-        q = Projector.from_columns(projection_columns(panel, spec, b, ProjectorMode.TESTING), t).q
-        work = self._data.copy()
-        work[:b, :, zs] = 0.0
-        flat = work.reshape(t, -1)
-        flat -= q @ (q.T @ flat)
-        rows = work.reshape(n * t, -1)
-        gram = rows.T @ rows
-        if not _trusted(gram[xs, xs], self._x_ss):
-            return None
-        coef = np.linalg.solve(gram[xs, xs], gram[xs, :])
-        part = gram - gram[:, xs] @ coef
-        rzz = 0.5 * (part[zs, zs] + part[zs, zs].T)
-        if not _trusted(rzz, self._z_ss[b]):
-            return None
-        delta = np.linalg.solve(rzz, part[zs, 0])
-        beta = coef[:, 0] - coef[:, zs] @ delta
-        resid = rows @ np.concatenate(([1.0], -beta, -delta))
-        ssr = float(resid @ resid)
-        if not ssr > _GUARD_FLOOR * gram[0, 0]:
-            return None
-        rz = rows[:, zs] - rows[:, xs] @ coef[:, zs]
-        return CceFit(
-            break_date=b,
-            delta=delta,
-            beta=beta,
-            residuals=resid.reshape(t, n).T,
-            z_partialled=rz.reshape(t, n, r).transpose(1, 0, 2),
-            ssr=ssr,
-            y_ss=float(gram[0, 0]),
-            design_gram=gram[1:, 1:],
+        post = np.arange(1, t + 1) > dates[:, None]
+        cols = self._proxies * np.where(self._masked, post[:, :, None], 1.0)
+        u, s, _ = np.linalg.svd(cols, full_matrices=False)
+        q = u * (s > max(cols.shape[1:]) * np.finfo(float).eps * s[:, :1])[:, None, :]
+        work = np.repeat(self._data[None], len(dates), axis=0)
+        for j, b in enumerate(dates):
+            work[j, :b, :, zs] = 0.0
+        flat = work.reshape(len(dates), t, -1)
+        flat -= q @ (q.transpose(0, 2, 1) @ flat)
+        rows = work.reshape(len(dates), t * n, -1)
+        gram = rows.transpose(0, 2, 1) @ rows
+        ident = np.eye(gram.shape[1])  # what rejected slices solve against; they are dropped below
+        ok = _trusted(gram[:, xs, xs], self._x_ss)
+        coef = np.linalg.solve(np.where(ok[:, None, None], gram[:, xs, xs], ident[xs, xs]), gram[:, xs, :])
+        part = gram - gram[:, :, xs] @ coef
+        rzz = 0.5 * (part[:, zs, zs] + part[:, zs, zs].transpose(0, 2, 1))
+        ok &= _trusted(rzz, self._z_ss[dates])
+        delta = np.linalg.solve(np.where(ok[:, None, None], rzz, ident[zs, zs]), part[:, zs, :1])[..., 0]
+        beta = coef[:, :, 0] - (coef[:, :, zs] @ delta[:, :, None])[..., 0]
+        weights = np.concatenate([np.ones((len(dates), 1)), -beta, -delta], axis=1)
+        resid = (rows @ weights[:, :, None])[..., 0]
+        ssr = (resid[:, None, :] @ resid[:, :, None])[:, 0, 0]
+        ok &= ssr > _GUARD_FLOOR * gram[:, 0, 0]
+        rz = rows[:, :, zs] - rows[:, :, xs] @ coef[:, :, zs]
+        keep = slice(None) if ok.all() else np.flatnonzero(ok)
+        return FitStack(
+            dates=tuple(dates[keep].tolist()),
+            n_units=n,
+            delta=delta[keep],
+            resid=resid[keep],
+            z_partialled=rz[keep],
+            ssr=ssr[keep],
+            y_ss=gram[keep, 0, 0],
         )
 
 

@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .estimator import BreakFit, CceFit, ProjectorMode, TestingProfile, cce_fit, fit_break
+from .estimator import BreakFit, CceFit, FitStack, ProjectorMode, TestingProfile, cce_fit, fit_break
 from .exceptions import (
     EmptyCandidateSet,
     InputError,
@@ -58,62 +58,86 @@ class HacConfig:
         return max(1, int(np.floor(n_periods ** (1.0 / 3.0))))
 
 
-def _invert_psd(mat: np.ndarray, floor_scale: float) -> np.ndarray:
-    """Inverse of a symmetric PSD matrix via eigendecomposition.
+def _invert_psd(mats: np.ndarray):
+    """Inverses of a stack of symmetric PSD matrices via eigendecomposition.
 
-    Eigenvalues below ``floor_scale`` signal an effectively singular
-    covariance; that is surfaced as an error rather than silently
-    regularized away.
+    An eigenvalue at or below 1e-12 * trace / r signals an effectively
+    singular covariance. That is surfaced rather than regularized away:
+    the second value maps each such matrix's index to its error message.
     """
-    sym = 0.5 * (mat + mat.T)
+    sym = 0.5 * (mats + mats.transpose(0, 2, 1))
     vals, vecs = np.linalg.eigh(sym)
-    if np.any(vals <= floor_scale):
-        raise SingularCovariance(
-            f"covariance eigenvalue {vals.min():.3e} below floor {floor_scale:.3e}"
-        )
-    return (vecs / vals) @ vecs.T
+    floor = 1e-12 * np.maximum(np.trace(mats, axis1=1, axis2=2), np.finfo(float).tiny) / mats.shape[2]
+    errors = {
+        int(j): f"covariance eigenvalue {vals[j].min():.3e} below floor {floor[j]:.3e}"
+        for j in np.flatnonzero(vals[:, 0] <= floor)  # eigh sorts the eigenvalues ascending
+    }
+    vals[list(errors)] = 1.0  # those inverses are never used
+    return (vecs / vals[:, None, :]) @ vecs.transpose(0, 2, 1), errors
 
 
-def delta_covariance(fit: CceFit, hac: HacConfig) -> np.ndarray:
-    """Sandwich covariance of the break-size estimate at one date.
+def _sandwich(z: np.ndarray, resid: np.ndarray, ssr: np.ndarray, n: int, hac: HacConfig):
+    """Sandwich covariances of a stack of fits, and the failed Omega inversions.
 
-    The scores e_it z_it are laid out time-major, so each lag's
-    autocovariance is one product of two contiguous row blocks.
+    ``z`` (B, T*N, r) and ``resid`` (B, T*N) are time-major, so each lag's
+    autocovariance of the scores e_it z_it is one product of two row blocks.
     """
-    n, t, r = fit.z_partialled.shape
-    nt = n * t
-    zt = fit.z_partialled
-    omega = np.einsum("itp,itq->pq", zt, zt) / nt
-    floor = 1e-12 * max(np.trace(omega), np.finfo(float).tiny) / r
-    omega_inv = _invert_psd(omega, floor)
+    nt = z.shape[1]
+    omega_inv, errors = _invert_psd(z.transpose(0, 2, 1) @ z / nt)
     if hac.homoskedastic_shortcut:
-        sigma2 = fit.ssr / nt
-        return sigma2 * omega_inv
+        return (ssr / nt)[:, None, None] * omega_inv, errors
+    t = nt // n
     s_t = hac.resolve_bandwidth(t)
-    scores = np.ascontiguousarray((fit.residuals[:, :, None] * zt).transpose(1, 0, 2))
-    flat = scores.reshape(nt, r)
-    psi = flat.T @ flat / nt
+    scores = resid[:, :, None] * z
+    psi = scores.transpose(0, 2, 1) @ scores / nt
     for j in range(1, t):
         w = kernel_weight(hac.kernel, j / s_t)
         if w == 0.0:
             break
-        lag = flat[j * n :].T @ flat[: (t - j) * n] / nt
-        psi += w * (lag + lag.T)
-    return omega_inv @ psi @ omega_inv
+        lag = scores[:, j * n :].transpose(0, 2, 1) @ scores[:, : (t - j) * n] / nt
+        psi += w * (lag + lag.transpose(0, 2, 1))
+    return omega_inv @ psi @ omega_inv, errors
+
+
+def _wald_stats(fits: FitStack, hac: HacConfig):
+    """W(b) for each fit of the stack, and the failed inversions by stack index."""
+    nt = fits.resid.shape[1]
+    # Numerically exact fit: both the residuals and (possibly) the break
+    # estimate are pure rounding noise, so the Wald ratio is
+    # indeterminate. Resolve it by the sign of the break magnitude.
+    stats = np.where(np.sum(fits.delta * fits.delta, axis=1) <= 1e-16, 0.0, np.inf)
+    live = ~(fits.ssr <= 1e-14 * fits.y_ss)
+    pick = slice(None) if live.all() else np.flatnonzero(live)
+    delta = fits.delta[pick]
+    sigma, errors = _sandwich(fits.z_partialled[pick], fits.resid[pick], fits.ssr[pick], fits.n_units, hac)
+    sigma_inv, sigma_errors = _invert_psd(sigma)
+    stat = ((nt * delta)[:, None, :] @ sigma_inv @ delta[:, :, None])[:, 0, 0]
+    stats[pick] = np.where(0.0 > stat, 0.0, stat)
+    index = np.arange(len(stats))[pick]
+    return stats, {int(index[j]): msg for j, msg in {**sigma_errors, **errors}.items()}
+
+
+def _one_date(fit: CceFit) -> FitStack:
+    """``fit`` as a stack of one, in the time-major layout."""
+    n, t, r = fit.z_partialled.shape
+    z, resid = fit.z_partialled.transpose(1, 0, 2).reshape(1, t * n, r), fit.residuals.T.reshape(1, t * n)
+    return FitStack((fit.break_date,), n, fit.delta[None], resid, z, np.array([fit.ssr]), np.array([fit.y_ss]))
+
+
+def delta_covariance(fit: CceFit, hac: HacConfig) -> np.ndarray:
+    """Sandwich covariance of the break-size estimate at one date."""
+    one = _one_date(fit)
+    sigma, errors = _sandwich(one.z_partialled, one.resid, one.ssr, one.n_units, hac)
+    if errors:
+        raise SingularCovariance(errors[0])
+    return sigma[0]
 
 
 def wald_from_fit(fit: CceFit, hac: HacConfig) -> float:
-    n, t, r = fit.z_partialled.shape
-    if fit.ssr <= 1e-14 * fit.y_ss:
-        # Numerically exact fit: both the residuals and (possibly) the
-        # break estimate are pure rounding noise, so the Wald ratio is
-        # indeterminate. Resolve it by the sign of the break magnitude.
-        return 0.0 if float(fit.delta @ fit.delta) <= 1e-16 else float("inf")
-    sigma = delta_covariance(fit, hac)
-    floor = 1e-12 * max(np.trace(sigma), np.finfo(float).tiny) / r
-    sigma_inv = _invert_psd(sigma, floor)
-    stat = float(n * t * fit.delta @ sigma_inv @ fit.delta)
-    return max(stat, 0.0)
+    stats, errors = _wald_stats(_one_date(fit), hac)
+    if errors:
+        raise SingularCovariance(errors[0])
+    return float(stats[0])
 
 
 def wald_at(panel: PanelData, spec: BreakSpec, b: int, hac: HacConfig | None = None) -> float:
@@ -121,17 +145,6 @@ def wald_at(panel: PanelData, spec: BreakSpec, b: int, hac: HacConfig | None = N
     hac = hac or HacConfig()
     fit = cce_fit(panel, spec, b, ProjectorMode.TESTING)
     return wald_from_fit(fit, hac)
-
-
-def _profile_wald(profile: TestingProfile, b: int, hac: HacConfig) -> float:
-    """W(b) from the engine's fit, or from ``wald_at`` where that must decide."""
-    fit = profile.fit(b)
-    if fit is not None:
-        try:
-            return wald_from_fit(fit, hac)
-        except SingularCovariance:
-            pass  # the reference fit raises it again, with its own figures
-    return wald_at(profile.panel, profile.spec, b, hac)
 
 
 @dataclass(frozen=True)
@@ -175,16 +188,20 @@ def sup_wald(
             f"trimmed candidate set is empty for T={panel.n_periods}, "
             f"eps={spec.trim_fraction}"
         )
-    profile = TestingProfile(panel, spec)
+    fast = {}
+    for fits in TestingProfile(panel, spec).fits(candidates):
+        stats, singular = _wald_stats(fits, hac)
+        fast.update((b, w) for j, (b, w) in enumerate(zip(fits.dates, stats.tolist())) if j not in singular)
     dates, values, excluded = [], [], []
-    last_error: StatisticalError | None = None
+    last_error = None
     for b in candidates:
         try:
-            values.append(_profile_wald(profile, b, hac))
+            # A date the engine could not decide gets the reference value or error.
+            values.append(fast[b] if b in fast else wald_at(panel, spec, b, hac))
             dates.append(b)
         except (RankConditionFailure, SingularCovariance) as err:
             excluded.append(b)
-            last_error = err
+            last_error = str(err)  # not err: its traceback would keep this frame's arrays alive
     if not dates:
         raise RankConditionFailure(
             f"every candidate failed the rank condition: {last_error}"

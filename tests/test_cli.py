@@ -92,6 +92,17 @@ class TestDetect:
         assert "rename failed" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("csv", ["null_csv", "break_csv"])
+    @pytest.mark.parametrize("max_breaks", ["0", "-1"])
+    def test_max_breaks_checked_before_fitting(self, capsys, request, csv, max_breaks, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("tested before validating")
+
+        monkeypatch.setattr("panelbreak.cli.sup_wald", fail)
+        argv = ["detect", *base_args(request.getfixturevalue(csv)), "--max-breaks", max_breaks]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: max_breaks must be >= 1\n"
+
     def test_text_format(self, capsys, null_csv):
         code = main(["detect", *base_args(null_csv), "--format", "text"])
         out = capsys.readouterr().out
@@ -165,6 +176,13 @@ class TestSimulate:
         cfg.write_text(f"n_periods = 10\nreps = 1\n{line}\n")
         assert main(["simulate", "--config", str(cfg)]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("pipeline, alpha", [("ESTIMATE", "1.5"), ("FULL", "0")])
+    def test_alpha_out_of_range_is_usage_error(self, capsys, tmp_path, pipeline, alpha):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(f"n_units = 30\nn_periods = 10\nreps = 2\npipeline = {pipeline}\nalpha = {alpha}\n")
+        assert main(["simulate", "--config", str(cfg)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: alpha must lie in (0, 1")
 
     def test_none_only_for_b0(self, capsys, tmp_path):
         cfg = tmp_path / "sim.cfg"

@@ -17,8 +17,14 @@ from panelbreak import (
     wald_at,
     z_regressors,
 )
+from panelbreak import estimator, wald
 from panelbreak.estimator import ProjectorMode, cce_fit
-from panelbreak.exceptions import EmptyCandidateSet, InputError, RankConditionFailure
+from panelbreak.exceptions import (
+    EmptyCandidateSet,
+    InputError,
+    RankConditionFailure,
+    StatisticalError,
+)
 from panelbreak.panel import testing_candidates as trimmed_candidates
 from panelbreak.wald import delta_covariance, kernel_weight, wald_from_fit
 
@@ -103,6 +109,30 @@ class TestWaldStatistic:
         oracle = np.linalg.inv(omega) @ psi0 @ np.linalg.inv(omega)
         assert np.allclose(sigma, oracle, atol=1e-10)
 
+    @pytest.mark.parametrize("kernel, bandwidth", [(Kernel.BARTLETT, 3), (Kernel.TRUNCATED_UNIFORM, 2)])
+    @pytest.mark.parametrize("breaking", [[0], [0, 1]])
+    def test_lagged_sandwich_matches_brute_force(self, rng, kernel, bandwidth, breaking):
+        panel = random_panel(rng, n=12, t=14, k=2)
+        spec = BreakSpec.from_indices(2, breaking)
+        fit = cce_fit(panel, spec, 7, ProjectorMode.TESTING)
+        sigma = delta_covariance(fit, HacConfig(kernel=kernel, bandwidth=bandwidth))
+        # Oracle: Psi = sum_i sum_t sum_s w(|t-s|/S) s_it s_is' / NT, kernels written out.
+        weight = {
+            Kernel.BARTLETT: lambda u: max(0.0, 1.0 - u),
+            Kernel.TRUNCATED_UNIFORM: lambda u: float(u <= 1.0),
+        }[kernel]
+        zt = fit.z_partialled
+        scores = fit.residuals[:, :, None] * zt
+        nt = 12 * 14
+        psi = sum(
+            weight(abs(t - s) / bandwidth) * np.outer(scores[i, t], scores[i, s])
+            for i in range(12)
+            for t in range(14)
+            for s in range(14)
+        ) / nt
+        omega_inv = np.linalg.inv(np.einsum("itp,itq->pq", zt, zt) / nt)
+        assert np.allclose(sigma, omega_inv @ psi @ omega_inv, rtol=0.0, atol=1e-10)
+
     def test_homoskedastic_shortcut_formula(self, rng):
         panel = random_panel(rng, n=10, t=12, k=2)
         spec = BreakSpec.from_indices(2, [1])
@@ -161,6 +191,60 @@ class TestSupWald:
         spec = BreakSpec.from_indices(2, [1])
         with pytest.raises(RankConditionFailure):
             sup_wald(panel, spec, sw_critical=1.0)
+
+
+def acceptance_01_cases():
+    """The 100 (panel, spec, hac) draws of test_engine.py's acceptance-01 panels."""
+    hacs = (
+        HacConfig(),
+        HacConfig(kernel=Kernel.TRUNCATED_UNIFORM, bandwidth=3),
+        HacConfig(homoskedastic_shortcut=True),
+    )
+    rng = np.random.default_rng(101)
+    for trial in range(100):
+        n = int(rng.integers(4, 9))
+        t = int(rng.integers(8, 16))
+        k = int(rng.integers(1, 4))
+        d_cols = int(rng.integers(0, 3))
+        panel = random_panel(rng, n=n, t=t, k=k, d_cols=d_cols)
+        r = int(rng.integers(1, k + 1))
+        breaking = sorted(rng.choice(k, size=r, replace=False).tolist())
+        lo = max(r, d_cols + r + 1)
+        hi = min(t - r - 1, t - d_cols - r - 2)
+        if lo <= hi:
+            rng.integers(lo, hi + 1)
+        yield panel, BreakSpec.from_indices(k, breaking), hacs[trial % len(hacs)]
+
+
+class TestChunking:
+    def test_chunk_size_does_not_change_values(self, rng, monkeypatch):
+        cases = [*acceptance_01_cases(), (*exact_break_panel(rng, n=10, t=20, b0=10), HacConfig())]
+        reference_calls = []
+
+        def counted_wald_at(*args):
+            reference_calls.append(args[2])
+            return wald_at(*args)
+
+        monkeypatch.setattr(wald, "wald_at", counted_wald_at)
+
+        def run(chunk_bytes):
+            monkeypatch.setattr(estimator, "_CHUNK_BYTES", chunk_bytes)
+            out = []
+            for panel, spec, hac in cases:
+                try:
+                    result = sup_wald(panel, spec, hac, sw_critical=5.0)
+                except StatisticalError as err:
+                    out.append((type(err), str(err)))
+                    continue
+                out.append((np.array(result.wald_values).tobytes(), result.excluded_dates))
+            return out
+
+        one_date = run(1)
+        n_reference = len(reference_calls)
+        every_date = run(1 << 40)
+        assert one_date == every_date
+        # The same dates fall back to the reference fit, inside whole-window chunks.
+        assert reference_calls[n_reference:] == reference_calls[:n_reference] != []
 
 
 class TestSequentialBreaks:
