@@ -1,9 +1,5 @@
 """Structural-break detection, dating and testing for interactive-effects panels."""
 
-# limits first: it pulls in scipy.special, whose import took about 50 ms
-# longer nested under dgp -> estimator -> limits (paired runs of
-# `import panelbreak.cli`, CPython 3.11, 2-CPU host).
-from .limits import SimConfig, argmax_quantile, sup_bessel_critical
 from .dgp import DgpConfig, DgpTruth, ExperimentReport, generate, run_experiment
 from .estimator import (
     BreakFit,
@@ -17,6 +13,7 @@ from .estimator import (
     fit_break,
     ssr_at,
 )
+from .limits import SimConfig, argmax_quantile, sup_bessel_critical
 from .linalg import Projector, cross_sectional_average
 from .panel import (
     BreakSpec,

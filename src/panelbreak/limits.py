@@ -2,7 +2,8 @@
 
 Law one: the argmax over v of -|v|/2 + B(v) with B a two-sided standard
 Brownian motion, which governs the estimated break date. Its CDF is in
-closed form (Bai 1997), so its quantiles are found by inverting it.
+closed form (Bai 1997), so its quantiles are found by inverting it, as
+are those of the chi-squared law. Both CDFs need only the ``math`` module.
 Law two: the supremum over the trimmed fractions of the squared
 standardized tied-down Bessel process of order r, which governs the
 sup-Wald statistic. It is simulated on a grid.
@@ -20,7 +21,6 @@ from dataclasses import asdict, dataclass
 from importlib import resources
 
 import numpy as np
-from scipy.special import erfcx, gammaincinv, ndtr
 
 from .exceptions import InputError
 from .io import write_text_atomic
@@ -51,34 +51,96 @@ def _entry_key(entry: dict) -> tuple:
     return (entry["r"], round(entry["eps"], 10), entry["grid_points"], entry["n_paths"], entry["seed"])
 
 
+def _invert_cdf(cdf, prob: float) -> float:
+    """Smallest double x >= 0 with cdf(x) >= prob, for prob above cdf(0).
+
+    Bisection, after doubling the upper bracket until it holds ``prob``.
+    """
+    lo, hi = 0.0, 1.0
+    while cdf(hi) < prob:
+        lo, hi = hi, 2.0 * hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return hi
+        if cdf(mid) < prob:
+            lo = mid
+        else:
+            hi = mid
+
+
+# ---------------------------------------------------------------------------
+# Chi-squared law, closed form
+
+
+def _chi_squared_cdf(x: float, r: int) -> float:
+    """CDF of the chi-squared law with r degrees of freedom, for x >= 0.
+
+    Even r: 1 - e^{-x/2} sum_{j < r/2} (x/2)^j / j!. Odd r:
+    erf(sqrt(x/2)) - sqrt(2/pi) e^{-x/2} sum_{j=1}^{(r-1)/2} x^{j-1/2} / (1*3*...*(2j-1)).
+    """
+    half = 0.5 * x
+    if r % 2 == 0:
+        term = total = 1.0
+        for j in range(1, r // 2):
+            term *= half / j
+            total += term
+        return 1.0 - math.exp(-half) * total
+    term, total = math.sqrt(x), 0.0
+    for j in range(1, (r + 1) // 2):
+        total += term
+        term *= x / (2 * j + 1)
+    return math.erf(math.sqrt(half)) - math.sqrt(2.0 / math.pi) * math.exp(-half) * total
+
+
 def chi_squared_quantile(r: int, prob: float) -> float:
     """Quantile of the chi-squared law with r degrees of freedom.
 
-    The chi-squared(r) law is Gamma(r/2, 2), so this is the expression
-    ``scipy.stats.chi2.ppf`` evaluates, without importing ``scipy.stats``.
+    Inverts the closed-form CDF by bisection, as ``argmax_quantile`` does.
     """
-    return float(2.0 * gammaincinv(r / 2.0, prob))
+    if r < 1:
+        raise InputError("degrees of freedom r must be >= 1")
+    if not (0.0 < prob < 1.0):
+        raise InputError("prob must lie in (0, 1)")
+    return _invert_cdf(lambda x: _chi_squared_cdf(x, r), prob)
 
 
 # ---------------------------------------------------------------------------
 # Argmax law, closed form
 
 
+def _erfcx(a: float) -> float:
+    """Scaled complementary error function e^{a^2} erfc(a), for a >= 0.
+
+    The product overflows to inf * 0 near a = 26.6, so from a = 25 on the
+    asymptotic series 1/(a sqrt(pi)) sum_j (-1)^j (2j-1)!! / (2a^2)^j takes
+    over; there its first omitted term is below 1e-20.
+    """
+    if a < 25.0:
+        return math.exp(a * a) * math.erfc(a)
+    term = total = 1.0
+    for j in range(1, 9):
+        term *= -(2 * j - 1) / (2.0 * a * a)
+        total += term
+    return total / (a * math.sqrt(math.pi))
+
+
 def argmax_cdf(x: float) -> float:
     """CDF of argmax_v {B(v) - |v|/2} (Bai 1997, RESTAT).
 
     For x > 0, G(x) = 1 + sqrt(x/(2 pi)) e^{-x/8} - (x+5)/2 Phi(-sqrt(x)/2)
-    + (3/2) e^x Phi(-3 sqrt(x)/2), and G(-x) = 1 - G(x). The last term is
-    (3/4) e^{-x/8} erfcx(3 sqrt(x/8)) here, because e^x overflows past x ~ 709.
+    + (3/2) e^x Phi(-3 sqrt(x)/2), and G(-x) = 1 - G(x). Here
+    Phi(-z) = erfc(z / sqrt(2)) / 2, and the last term is
+    (3/4) e^{-x/8} erfcx(3 sqrt(x/8)), because e^x overflows past x ~ 709.
     """
     if x < 0.0:
         return 1.0 - argmax_cdf(-x)
     decay = math.exp(-x / 8.0)
-    return float(
+    return (
         1.0
         + math.sqrt(x / (2.0 * math.pi)) * decay
-        - 0.5 * (x + 5.0) * ndtr(-0.5 * math.sqrt(x))
-        + 0.75 * decay * erfcx(3.0 * math.sqrt(x / 8.0))
+        - 0.25 * (x + 5.0) * math.erfc(0.5 * math.sqrt(x) / math.sqrt(2.0))
+        + 0.75 * decay * _erfcx(3.0 * math.sqrt(x / 8.0))
     )
 
 
@@ -219,9 +281,8 @@ def clear_memory_cache() -> None:
 def argmax_quantile(prob: float) -> float:
     """Quantile of the argmax law; c_alpha is the prob = 1 - alpha/2 call.
 
-    Inverts ``argmax_cdf`` by bisection, doubling the upper bracket until
-    it holds ``prob``. The law is symmetric about zero, so the median is 0
-    and the lower quantiles are the negated upper ones.
+    Inverts ``argmax_cdf`` by bisection. The law is symmetric about zero,
+    so the median is 0 and the lower quantiles are the negated upper ones.
     """
     if not (0.0 < prob < 1.0):
         raise InputError("prob must lie in (0, 1)")
@@ -229,17 +290,7 @@ def argmax_quantile(prob: float) -> float:
         return 0.0
     if prob < 0.5:
         return -argmax_quantile(1.0 - prob)
-    lo, hi = 0.0, 1.0
-    while argmax_cdf(hi) < prob:
-        lo, hi = hi, 2.0 * hi
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            return hi
-        if argmax_cdf(mid) < prob:
-            lo = mid
-        else:
-            hi = mid
+    return _invert_cdf(argmax_cdf, prob)
 
 
 def sup_bessel_critical(

@@ -55,7 +55,13 @@ class HacConfig:
     def resolve_bandwidth(self, n_periods: int) -> int:
         if self.bandwidth is not None:
             return self.bandwidth
-        return max(1, int(np.floor(n_periods ** (1.0 / 3.0))))
+        # An exact integer cube root: the float 64 ** (1/3) is 3.9999999999999996.
+        root = round(n_periods ** (1.0 / 3.0))
+        while root**3 > n_periods:
+            root -= 1
+        while (root + 1) ** 3 <= n_periods:
+            root += 1
+        return max(1, root)
 
 
 def _invert_psd(mats: np.ndarray):

@@ -290,10 +290,27 @@ class TestFailureModes:
         assert code == EXIT_STATISTICAL
 
 
-def test_cli_import_skips_heavy_scipy_modules():
-    # scipy.stats and scipy.optimize each add a large share of start-up time.
-    code = "import sys, panelbreak.cli; print(sorted({'scipy.stats', 'scipy.optimize'} & set(sys.modules)))"
+def test_cli_import_skips_heavy_scipy_modules(tmp_path, break_csv):
+    # The runtime needs numpy only: importing the CLI loads no scipy module,
+    # and detect and simulate still run once every scipy import fails.
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("n_units = 30\nn_periods = 10\nb0 = 5\ndelta = 1.0\nreps = 5\nseed = 2\n")
+    runs = [
+        ["detect", *base_args(break_csv), "--out", str(tmp_path / "detect.json")],
+        ["simulate", "--config", str(cfg), "--out", str(tmp_path / "simulate.json")],
+    ]
+    code = (
+        "import json, sys, panelbreak.cli\n"
+        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "sys.modules['scipy'] = None\n"
+        "codes = [panelbreak.cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps({'loaded': loaded, 'codes': codes}))\n"
+    )
     src = os.path.dirname(os.path.dirname(__import__("panelbreak").__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    out = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(runs)], env=env, capture_output=True, text=True, check=True
+    )
+    assert json.loads(out.stdout) == {"loaded": [], "codes": [EXIT_OK, EXIT_OK]}
+    assert json.loads((tmp_path / "simulate.json").read_text())["replications"] == 5
+    assert json.loads((tmp_path / "detect.json").read_text())["stages"]["sup_wald"]["reject"]

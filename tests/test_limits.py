@@ -6,7 +6,7 @@ import os
 
 import numpy as np
 import pytest
-from scipy.stats import norm
+from scipy.stats import chi2, norm
 
 from panelbreak import SimConfig, argmax_quantile, sup_bessel_critical
 from panelbreak.exceptions import InputError
@@ -14,6 +14,7 @@ from panelbreak.limits import (
     DEFAULT_ALPHAS,
     DEFAULT_BESSEL_ORDERS,
     DEFAULT_TRIMS,
+    _erfcx,
     _sup_bessel_samples,
     argmax_cdf,
     chi_squared_quantile,
@@ -74,8 +75,9 @@ class TestPackagedTables:
         assert sup_bessel_critical(6, 0.20, 0.10) == 17.48787720543788
 
     def test_chi_squared_oracle(self):
-        assert chi_squared_quantile(1, 0.95) == pytest.approx(3.841459, abs=1e-5)
-        assert chi_squared_quantile(2, 0.95) == pytest.approx(5.991465, abs=1e-5)
+        for r in range(1, 7):
+            for p in (0.5, 0.9, 0.95, 0.975, 0.99, 0.995, 0.999):
+                assert chi_squared_quantile(r, p) == pytest.approx(chi2.ppf(p, r), rel=1e-13, abs=0.0)
 
 
 class TestArgmaxClosedForm:
@@ -103,6 +105,15 @@ class TestArgmaxClosedForm:
         assert all(a < b for a, b in zip(upper, upper[1:]))
         lower = [argmax_quantile(1.0 - p) for p in probs[1:]]
         assert all(a > b for a, b in zip(lower, lower[1:]))
+
+    def test_continuous_across_erfcx_switch(self):
+        # erfcx(3 sqrt(x/8)) changes from e^{a^2} erfc(a) to its asymptotic series at a = 25.
+        x = 5000.0 / 9.0
+        assert 3.0 * math.sqrt(x / 8.0) == 25.0
+        below = math.nextafter(25.0, 0.0)
+        assert _erfcx(below) == pytest.approx(_erfcx(25.0), rel=1e-13)
+        assert argmax_cdf(math.nextafter(x, 0.0)) == pytest.approx(argmax_cdf(x), rel=0.0, abs=1e-15)
+        assert math.isfinite(argmax_cdf(1e4)) and argmax_cdf(1e4) <= 1.0
 
     def test_matches_naive_form(self):
         # The textbook form with e^x Phi(-3 sqrt(x)/2), which holds until e^x overflows.
@@ -193,6 +204,11 @@ class TestDomains:
             argmax_quantile(0.0)
         with pytest.raises(InputError):
             argmax_quantile(1.0)
+
+    def test_chi_squared_domain(self):
+        for r, prob in ((0, 0.95), (1, 0.0), (1, 1.0), (2, 1.5)):
+            with pytest.raises(InputError):
+                chi_squared_quantile(r, prob)
 
     def test_bessel_domains(self):
         with pytest.raises(InputError):

@@ -47,6 +47,9 @@ class TestKernels:
     def test_auto_bandwidth(self):
         assert HacConfig().resolve_bandwidth(27) == 3
         assert HacConfig().resolve_bandwidth(10) == 2
+        # Perfect cubes, where the float T ** (1/3) falls just short.
+        for n_periods, lags in ((63, 3), (64, 4), (124, 4), (125, 5), (1000, 10)):
+            assert HacConfig().resolve_bandwidth(n_periods) == lags
         assert HacConfig(bandwidth=7).resolve_bandwidth(10) == 7
 
     def test_bandwidth_domain(self):
