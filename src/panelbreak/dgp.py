@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import confidence_interval, estimate_breakpoint
+from .estimator import _estimation_profile, _interval
 from .exceptions import ConfigInvariantViolation, ExperimentError, InputError, PanelBreakError
 from .limits import argmax_quantile, sup_bessel_critical
 from .panel import BreakSpec, PanelData
@@ -200,7 +200,7 @@ def run_experiment(
         raise ConfigInvariantViolation(f"unknown pipeline {pipeline!r}")
     if reps < 1:
         raise ConfigInvariantViolation("reps must be >= 1")
-    # The alpha ranges of confidence_interval and sup_wald, checked before any replication.
+    # The alpha ranges of the interval and of sup_wald, checked before any replication.
     if pipeline == "ESTIMATE" and not 0.0 < alpha <= 1.0:
         raise InputError("alpha must lie in (0, 1]")
     if pipeline != "ESTIMATE" and not 0.0 < alpha < 1.0:
@@ -222,12 +222,12 @@ def run_experiment(
         try:
             panel, truth = generate(config, seed=seed)
             if estimate:
-                profile = estimate_breakpoint(panel, spec)
+                profile, fit = _estimation_profile(panel, spec)
                 b_hat = profile.b_hat
                 if truth.b0 is not None:
                     hits.append(b_hat == truth.b0)
                     abs_errors.append(abs(b_hat - truth.b0))
-                lower, upper, _ = confidence_interval(panel, spec, b_hat, alpha, c_alpha=c_alpha)
+                lower, upper, _ = _interval(panel, spec, b_hat, alpha, c_alpha, fit)[0]
                 widths.append(upper - lower + 1)
                 if truth.b0 is not None:
                     covered.append(lower <= truth.b0 <= upper)

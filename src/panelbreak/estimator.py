@@ -9,7 +9,7 @@ additionally projects out the break-interacted proxies (D(b), Z̄(b)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -42,10 +42,14 @@ class ProjectorMode(Enum):
     TESTING = "testing"
 
 
+def _rank_cutoff(shape, data_scale: float) -> float:
+    """Singular values at or below this count as zero, tied to the raw data scale."""
+    return max(shape) * np.finfo(float).eps * max(data_scale, np.finfo(float).tiny)
+
+
 def _scaled_rank(singular_values, shape, data_scale: float) -> int:
     """Numerical rank with the cutoff tied to the raw data scale."""
-    tol = max(shape) * np.finfo(float).eps * max(data_scale, np.finfo(float).tiny)
-    return int(np.sum(np.asarray(singular_values) > tol))
+    return int(np.sum(np.asarray(singular_values) > _rank_cutoff(shape, data_scale)))
 
 
 def projection_columns(panel: PanelData, spec: BreakSpec, b: int, mode: ProjectorMode):
@@ -172,15 +176,29 @@ def _suffix_sums(per_period: np.ndarray, dates, axis: int = 0) -> np.ndarray:
     return np.take(np.flip(np.cumsum(flipped, axis=axis), axis=axis), dates, axis=axis)
 
 
-def _estimation_ssrs(panel: PanelData, spec: BreakSpec, dates: "list[int]") -> "list[float]":
-    """SSR(b) for every date, from suffix sums of per-period cross-products.
+@dataclass(frozen=True)
+class _ArgminFit:
+    """The ESTIMATION fit at the argmin date, as far as the interval reads it."""
+
+    delta: np.ndarray
+    residuals: np.ndarray  # N x T
+
+
+def _estimation_profile(panel: PanelData, spec: BreakSpec):
+    """SSR(b) over the estimation candidates, and the fit at the argmin.
 
     The ESTIMATION projector Q on span(D, X̄) does not depend on b, so y
     and X are partialled once: ry = M_X̃ ỹ. With Z(b) = XR 1(t > b),
     rz'ry = Z'ry, Z̃'X̃ = Z'X̃ and Z̃'Z̃ = Z'Z - sum_i (Q'z_i)'(Q'z_i) are
     suffix sums over t, and SSR(b) = ry'ry - g'A^{-1}g with g = rz'ry and
-    A = rz'rz.
+    A = rz'rz. At the argmin, delta = A^{-1}g and the residuals are
+    ry - rz delta; where ``cce_fit`` decided that date, its fit is kept.
     """
+    dates = estimation_candidates(spec, panel.n_periods)
+    if not dates:
+        raise EmptyCandidateSet(
+            f"no estimation candidates for T={panel.n_periods}, r={spec.n_breaking}"
+        )
     n, t, k = panel.x.shape
     x = panel.x
     q = Projector.from_columns(
@@ -189,8 +207,23 @@ def _estimation_ssrs(panel: PanelData, spec: BreakSpec, dates: "list[int]") -> "
     yt = panel.y - (panel.y @ q) @ q.T
     xt = x - q @ (q.T @ x)
     sxx = np.einsum("itk,itl->kl", xt, xt)
+    values = [math.nan] * len(dates)
+    best = None  # (index, fit) of the reference fit with the lowest SSR, the first on ties
+
+    def refit(j):
+        nonlocal best
+        fit = cce_fit(panel, spec, dates[j], ProjectorMode.ESTIMATION)
+        values[j] = fit.ssr
+        if best is None or (fit.ssr, j) < (best[1].ssr, best[0]):
+            best = (j, fit)
+
+    def profile():
+        return SsrProfile(tuple(dates), tuple(values), int(np.argmin(values)))  # the first minimum
+
     if not _trusted(sxx, np.sum(x * x)):
-        return [cce_fit(panel, spec, b, ProjectorMode.ESTIMATION).ssr for b in dates]
+        for j in range(len(dates)):
+            refit(j)
+        return profile(), best[1]
     ry = yt - xt @ np.linalg.solve(sxx, np.einsum("itk,it->k", xt, yt))
     z = x @ spec.selection
     g = _suffix_sums(np.einsum("itr,it->tr", z, ry), dates)
@@ -205,16 +238,37 @@ def _estimation_ssrs(panel: PanelData, spec: BreakSpec, dates: "list[int]") -> "
     fit_term = np.linalg.solve(gram[trusted], g[trusted][..., None])[..., 0]
     ssr[trusted] = compensated_sum_of_squares(ry) - np.einsum("br,br->b", g[trusted], fit_term)
     reference = ~(ssr > _GUARD_FLOOR * np.sum(yt * yt))  # also catches the NaNs
-    values = ssr.tolist()
+    values[:] = ssr.tolist()
     for j in np.flatnonzero(reference):
-        values[j] = cce_fit(panel, spec, dates[j], ProjectorMode.ESTIMATION).ssr
+        refit(j)
     low = min(values)
     tied = [j for j, v in enumerate(values) if v <= low + _GUARD_TIE * abs(low)]
     if len(tied) > 1:
         for j in tied:
             if not reference[j]:
-                values[j] = cce_fit(panel, spec, dates[j], ProjectorMode.ESTIMATION).ssr
-    return values
+                refit(j)
+    result = profile()
+    j = result.argmin_index
+    if best is not None and best[0] == j:
+        return result, best[1]
+    zb = z * post_break_mask(t, dates[j])[:, None]
+    rz = zb - q @ (q.T @ zb) - xt @ sxx_inv_xz[:, j, :]
+    delta = np.linalg.solve(gram[j], g[j])
+    return result, _ArgminFit(delta=delta, residuals=ry - rz @ delta)
+
+
+def _clear_rank(rz: np.ndarray, data_scale: float):
+    """The rank ``cce_fit`` gives ``rz``, or None when rounding could change it.
+
+    The engine's M_X̃ Z̃(b) and ``cce_fit``'s differ by rounding, so a
+    singular value within a factor of 10 of ``cce_fit``'s cutoff leaves
+    the rank to ``cce_fit``.
+    """
+    cutoff = _rank_cutoff(rz.shape, data_scale)
+    s = np.linalg.svd(rz, compute_uv=False)
+    if np.any((s >= 0.1 * cutoff) & (s <= 10.0 * cutoff)):
+        return None
+    return int(np.sum(s > cutoff))
 
 
 # Bytes of N*T*(1+k+r) float64 working data that one chunk of testing
@@ -227,7 +281,8 @@ class FitStack:
     """TESTING-mode fits at B dates, stacked along a leading axis.
 
     ``resid`` (B, T*N) and ``z_partialled`` (B, T*N, r) are time-major:
-    row t*N + i is unit i in period t.
+    row t*N + i is unit i in period t. ``excluded`` maps each date of the
+    chunk that fails the rank condition beyond doubt to ``cce_fit``'s message.
     """
 
     dates: tuple
@@ -237,6 +292,7 @@ class FitStack:
     z_partialled: np.ndarray
     ssr: np.ndarray
     y_ss: np.ndarray
+    excluded: dict = field(default_factory=dict)
 
 
 class TestingProfile:
@@ -247,7 +303,8 @@ class TestingProfile:
     slice with the rank cutoff of ``Projector.from_columns``, dropped
     directions zeroed), one batched projection, and the Frisch-Waugh
     solves on the stack of (1+k+r) x (1+k+r) Gram matrices. A date that
-    a guard rejects is left out of the stack, for ``cce_fit`` to decide.
+    a guard rejects is left out of the stack, for ``cce_fit`` to decide,
+    unless its M_X̃ Z̃(b) is rank-deficient beyond doubt (``_clear_rank``).
     """
 
     def __init__(self, panel: PanelData, spec: BreakSpec):
@@ -285,11 +342,12 @@ class TestingProfile:
         rows = work.reshape(len(dates), t * n, -1)
         gram = rows.transpose(0, 2, 1) @ rows
         ident = np.eye(gram.shape[1])  # what rejected slices solve against; they are dropped below
-        ok = _trusted(gram[:, xs, xs], self._x_ss)
-        coef = np.linalg.solve(np.where(ok[:, None, None], gram[:, xs, xs], ident[xs, xs]), gram[:, xs, :])
+        x_ok = _trusted(gram[:, xs, xs], self._x_ss)
+        coef = np.linalg.solve(np.where(x_ok[:, None, None], gram[:, xs, xs], ident[xs, xs]), gram[:, xs, :])
         part = gram - gram[:, :, xs] @ coef
         rzz = 0.5 * (part[:, zs, zs] + part[:, zs, zs].transpose(0, 2, 1))
-        ok &= _trusted(rzz, self._z_ss[dates])
+        z_ok = _trusted(rzz, self._z_ss[dates])
+        ok = x_ok & z_ok
         delta = np.linalg.solve(np.where(ok[:, None, None], rzz, ident[zs, zs]), part[:, zs, :1])[..., 0]
         beta = coef[:, :, 0] - (coef[:, :, zs] @ delta[:, :, None])[..., 0]
         weights = np.concatenate([np.ones((len(dates), 1)), -beta, -delta], axis=1)
@@ -297,6 +355,12 @@ class TestingProfile:
         ssr = (resid[:, None, :] @ resid[:, :, None])[:, 0, 0]
         ok &= ssr > _GUARD_FLOOR * gram[:, 0, 0]
         rz = rows[:, :, zs] - rows[:, :, xs] @ coef[:, :, zs]
+        excluded = {}
+        for j in np.flatnonzero(x_ok & ~z_ok):
+            b, r = int(dates[j]), rz.shape[2]
+            rank = _clear_rank(rz[j], math.sqrt(self._z_ss[b]))
+            if rank is not None and rank < r:
+                excluded[b] = f"partialled break regressors have rank {rank} < r={r} at b={b}"
         keep = slice(None) if ok.all() else np.flatnonzero(ok)
         return FitStack(
             dates=tuple(dates[keep].tolist()),
@@ -306,6 +370,7 @@ class TestingProfile:
             z_partialled=rz[keep],
             ssr=ssr[keep],
             y_ss=gram[keep, 0, 0],
+            excluded=excluded,
         )
 
 
@@ -329,18 +394,7 @@ def estimate_breakpoint(panel: PanelData, spec: BreakSpec) -> SsrProfile:
     needed for reproducibility. The values come from the profile engine;
     ``ssr_at`` is the reference for each of them.
     """
-    candidates = estimation_candidates(spec, panel.n_periods)
-    if not candidates:
-        raise EmptyCandidateSet(
-            f"no estimation candidates for T={panel.n_periods}, r={spec.n_breaking}"
-        )
-    ssrs = _estimation_ssrs(panel, spec, candidates)
-    argmin = int(np.argmin(ssrs))  # np.argmin returns the first minimum
-    return SsrProfile(
-        candidate_dates=tuple(candidates),
-        ssr_values=tuple(ssrs),
-        argmin_index=argmin,
-    )
+    return _estimation_profile(panel, spec)[0]
 
 
 def moment_estimates(panel: PanelData, fit: CceFit):
@@ -429,11 +483,16 @@ def confidence_interval(
     return _interval(panel, spec, b_hat, alpha, c_alpha)[0]
 
 
-def _interval(panel, spec, b_hat, alpha, c_alpha):
-    """The interval at ``b_hat``, with the fit and the moments it came from."""
+def _interval(panel, spec, b_hat, alpha, c_alpha, fit=None):
+    """The interval at ``b_hat``, with the fit and the moments it came from.
+
+    ``fit`` is the ESTIMATION fit at ``b_hat`` when the caller has it (the
+    second value of ``_estimation_profile``); otherwise ``cce_fit`` makes it.
+    """
     if not (0.0 < alpha <= 1.0):
         raise InputError("alpha must lie in (0, 1]")
-    fit = cce_fit(panel, spec, b_hat, ProjectorMode.ESTIMATION)
+    if fit is None:
+        fit = cce_fit(panel, spec, b_hat, ProjectorMode.ESTIMATION)
     omega, phi, sigma_i = moment_estimates(panel, fit)
     if c_alpha is None:
         c_alpha = argmax_quantile(1.0 - alpha / 2.0)
@@ -472,9 +531,9 @@ def fit_break(
     c_alpha: float | None = None,
 ) -> BreakFit:
     """Full dating pipeline: profile, argmin, interval, coefficients."""
-    profile = estimate_breakpoint(panel, spec)
+    profile, argmin_fit = _estimation_profile(panel, spec)
     b_hat = profile.b_hat
-    interval, fit, (omega, phi, sigma_i) = _interval(panel, spec, b_hat, alpha, c_alpha)
+    interval, fit, (omega, phi, sigma_i) = _interval(panel, spec, b_hat, alpha, c_alpha, argmin_fit)
     lower, upper, clamped = interval
     theta, cov = estimate_theta(panel, spec, b_hat)
     return BreakFit(

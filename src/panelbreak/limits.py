@@ -15,6 +15,7 @@ by everything but its quantiles, and is reproducible from those fields.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -73,11 +74,13 @@ def _invert_cdf(cdf, prob: float) -> float:
 # Chi-squared law, closed form
 
 
-def _chi_squared_cdf(x: float, r: int) -> float:
-    """CDF of the chi-squared law with r degrees of freedom, for x >= 0.
+def _chi_squared_cdf(x: float, r: int, upper: bool = False) -> float:
+    """CDF of the chi-squared law with r degrees of freedom, for x >= 0,
+    or with ``upper`` its survival function 1 - CDF.
 
-    Even r: 1 - e^{-x/2} sum_{j < r/2} (x/2)^j / j!. Odd r:
-    erf(sqrt(x/2)) - sqrt(2/pi) e^{-x/2} sum_{j=1}^{(r-1)/2} x^{j-1/2} / (1*3*...*(2j-1)).
+    Even r: the survival function is e^{-x/2} sum_{j < r/2} (x/2)^j / j!.
+    Odd r: it is erfc(sqrt(x/2)) + s(x), and the CDF is erf(sqrt(x/2)) - s(x),
+    with s(x) = sqrt(2/pi) e^{-x/2} sum_{j=1}^{(r-1)/2} x^{j-1/2} / (1*3*...*(2j-1)).
     """
     half = 0.5 * x
     if r % 2 == 0:
@@ -85,24 +88,35 @@ def _chi_squared_cdf(x: float, r: int) -> float:
         for j in range(1, r // 2):
             term *= half / j
             total += term
-        return 1.0 - math.exp(-half) * total
+        tail = math.exp(-half) * total
+        return tail if upper else 1.0 - tail
     term, total = math.sqrt(x), 0.0
     for j in range(1, (r + 1) // 2):
         total += term
         term *= x / (2 * j + 1)
-    return math.erf(math.sqrt(half)) - math.sqrt(2.0 / math.pi) * math.exp(-half) * total
+    series = math.sqrt(2.0 / math.pi) * math.exp(-half) * total
+    if upper:
+        return math.erfc(math.sqrt(half)) + series
+    return math.erf(math.sqrt(half)) - series
 
 
+@functools.lru_cache(maxsize=None)
 def chi_squared_quantile(r: int, prob: float) -> float:
     """Quantile of the chi-squared law with r degrees of freedom.
 
     Inverts the closed-form CDF by bisection, as ``argmax_quantile`` does.
+    Upper quantiles invert the survival function instead: near 1 the CDF's
+    doubles are 1.1e-16 apart, too coarse to place the quantile to the ulp.
+    Each (r, prob) is computed once per process.
     """
     if r < 1:
         raise InputError("degrees of freedom r must be >= 1")
     if not (0.0 < prob < 1.0):
         raise InputError("prob must lie in (0, 1)")
-    return _invert_cdf(lambda x: _chi_squared_cdf(x, r), prob)
+    if prob < 0.5:
+        return _invert_cdf(lambda x: _chi_squared_cdf(x, r), prob)
+    # CDF >= prob is survival <= 1 - prob, which is exact for prob >= 0.5.
+    return _invert_cdf(lambda x: -_chi_squared_cdf(x, r, upper=True), prob - 1.0)
 
 
 # ---------------------------------------------------------------------------

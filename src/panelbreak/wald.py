@@ -194,13 +194,18 @@ def sup_wald(
             f"trimmed candidate set is empty for T={panel.n_periods}, "
             f"eps={spec.trim_fraction}"
         )
-    fast = {}
+    fast, rank_failures = {}, {}
     for fits in TestingProfile(panel, spec).fits(candidates):
         stats, singular = _wald_stats(fits, hac)
         fast.update((b, w) for j, (b, w) in enumerate(zip(fits.dates, stats.tolist())) if j not in singular)
+        rank_failures.update(fits.excluded)
     dates, values, excluded = [], [], []
     last_error = None
     for b in candidates:
+        if b in rank_failures:
+            excluded.append(b)
+            last_error = rank_failures[b]
+            continue
         try:
             # A date the engine could not decide gets the reference value or error.
             values.append(fast[b] if b in fast else wald_at(panel, spec, b, hac))

@@ -12,7 +12,7 @@ panel assembly that ``build_panel`` must match outcome for outcome, and
 import numpy as np
 import pytest
 
-from panelbreak import PanelData, BreakSpec, z_regressors
+from panelbreak import BreakSpec, HacConfig, Kernel, PanelData, estimator, wald, z_regressors
 from panelbreak.estimator import ProjectorMode, projection_columns
 from panelbreak.exceptions import (
     DuplicateObservation,
@@ -68,6 +68,39 @@ def exact_break_panel(rng, n=8, t=16, k=2, b0=7, beta=(1.0, 0.5), delta=(2.0,)):
     z = z_regressors(PanelData(y=np.zeros((n, t)), x=x), spec, b0)
     y = x @ np.asarray(beta) + z @ np.asarray(delta)
     return PanelData(y=y, x=x), spec
+
+
+def acceptance_01_cases():
+    """The 100 (panel, spec, hac) draws of the acceptance-01 panels, as test_engine.py makes them."""
+    hacs = (
+        HacConfig(),
+        HacConfig(kernel=Kernel.TRUNCATED_UNIFORM, bandwidth=3),
+        HacConfig(homoskedastic_shortcut=True),
+    )
+    rng = np.random.default_rng(101)
+    for trial in range(100):
+        n = int(rng.integers(4, 9))
+        t = int(rng.integers(8, 16))
+        k = int(rng.integers(1, 4))
+        d_cols = int(rng.integers(0, 3))
+        panel = random_panel(rng, n=n, t=t, k=k, d_cols=d_cols)
+        r = int(rng.integers(1, k + 1))
+        breaking = sorted(rng.choice(k, size=r, replace=False).tolist())
+        lo = max(r, d_cols + r + 1)
+        hi = min(t - r - 1, t - d_cols - r - 2)
+        if lo <= hi:
+            rng.integers(lo, hi + 1)
+        yield panel, BreakSpec.from_indices(k, breaking), hacs[trial % len(hacs)]
+
+
+def exact_tie_panel(rng):
+    """The breaking regressor is zero over periods 4..8, so Z(b) and the SSR
+    are the same for every b in 3..8; the break is at 5."""
+    x = rng.standard_normal((20, 14, 2))
+    x[:, 3:8, 1] = 0.0
+    post = np.arange(1, 15) > 5
+    y = x @ np.ones(2) + 2.0 * x[:, :, 1] * post + 0.1 * rng.standard_normal((20, 14))
+    return PanelData(y=y, x=x), BreakSpec.from_indices(2, [1])
 
 
 def reference_build_panel(raw_rows, common_rows=None, intercept=False):
@@ -172,6 +205,21 @@ def simulated_argmax_quantiles(
         v_half *= 2.0
         if v_half > v_cap:
             raise RuntimeError(f"argmax horizon exceeded cap {v_cap}")
+
+
+@pytest.fixture
+def cce_fit_calls(monkeypatch):
+    """The date of every ``cce_fit`` call, made through any module's binding of it."""
+    calls = []
+    reference = estimator.cce_fit
+
+    def counted(*args):
+        calls.append(args[2])
+        return reference(*args)
+
+    for module in (estimator, wald):
+        monkeypatch.setattr(module, "cce_fit", counted)
+    return calls
 
 
 @pytest.fixture

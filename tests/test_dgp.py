@@ -164,6 +164,23 @@ class TestRunExperiment:
         with pytest.raises(ExperimentError):
             run_experiment(cfg, "TEST", reps=5, sw_critical=8.85)
 
+    def test_no_reference_refit_per_replication(self, cce_fit_calls):
+        # The interval reuses the SSR profile's argmin fit, and the testing
+        # engine excludes the rank-deficient date b = 1 itself.
+        config = DgpConfig(n_units=200, n_periods=10, b0=5, delta=(0.35,), seed=0)
+        report = run_experiment(config, "FULL", reps=20)
+        assert report.n_errors == 0
+        assert cce_fit_calls == []
+
+    def test_benchmark_design_report(self):
+        # The benchmark's mc design, pinned to the values of the per-date reference fits.
+        config = DgpConfig(n_units=200, n_periods=10, b0=5, delta=(0.35,), seed=0)
+        report = run_experiment(config, "FULL", reps=300)
+        assert report.n_errors == 0
+        assert report.metrics["exact_hit_rate"][0] == 0.9766666666666667
+        assert report.metrics["ci_coverage"][0] == 1.0
+        assert report.metrics["ci_mean_width"][0] == 3.0
+
     def test_bad_pipeline(self):
         with pytest.raises(ConfigInvariantViolation):
             run_experiment(DgpConfig(), pipeline="GUESS", reps=1)

@@ -17,6 +17,8 @@ from panelbreak import (
 )
 from panelbreak.estimator import (
     ProjectorMode,
+    _estimation_profile,
+    _interval,
     interval_half_width,
     moment_estimates,
 )
@@ -25,11 +27,18 @@ from panelbreak.exceptions import (
     EmptyCandidateSet,
     InputError,
     RankConditionFailure,
+    StatisticalError,
     ZeroBreakMagnitude,
 )
 from panelbreak.panel import estimation_candidates
 
-from conftest import exact_break_panel, oracle_joint_fit, random_panel
+from conftest import (
+    acceptance_01_cases,
+    exact_break_panel,
+    exact_tie_panel,
+    oracle_joint_fit,
+    random_panel,
+)
 
 
 class TestOracleEquivalence:
@@ -293,3 +302,50 @@ class TestFitBreak:
         assert fit.delta_hat[0] == pytest.approx(2.0, abs=0.1)
         assert fit.theta_hat[-1] == pytest.approx(2.0, abs=0.1)
         assert fit.ssr_profile.b_hat == fit.b_hat
+
+
+
+class TestCarriedFit:
+    """The interval reads delta and the residuals of the SSR profile's argmin fit."""
+
+    @staticmethod
+    def outcome(func, *args):
+        try:
+            return func(*args), None
+        except StatisticalError as err:
+            return None, (type(err), str(err))
+
+    def test_carried_fit_is_the_reference_fit(self, rng):
+        cases = [(panel, spec) for panel, spec, _ in acceptance_01_cases()]
+        cases += [exact_break_panel(rng, n=10, t=20, b0=10), exact_tie_panel(rng)]
+        fitted = 0
+        for panel, spec in cases:
+            profile, carried = _estimation_profile(panel, spec)
+            b_hat = profile.b_hat
+            got, got_err = self.outcome(_interval, panel, spec, b_hat, 0.05, 11.0, carried)
+            want, want_err = self.outcome(_interval, panel, spec, b_hat, 0.05, 11.0)  # refits with cce_fit
+            assert got_err == want_err
+            if want_err is not None:
+                continue
+            reference = cce_fit(panel, spec, b_hat, ProjectorMode.ESTIMATION)
+            sigma_i = moment_estimates(panel, reference)[2]
+            assert got[0] == want[0] == confidence_interval(panel, spec, b_hat, 0.05, c_alpha=11.0)
+            np.testing.assert_allclose(got[1].delta, reference.delta, rtol=1e-10, atol=0.0)
+            np.testing.assert_allclose(got[2][2], sigma_i, rtol=1e-10, atol=0.0)
+            # fit_break passes the same fit on; it fails where TESTING at b_hat is rank-deficient.
+            fit, err = self.outcome(fit_break, panel, spec, 0.05, 11.0)
+            if err is None:
+                assert (fit.b_hat, fit.ci_lower, fit.ci_upper, fit.ci_clamped) == (b_hat, *want[0])
+                np.testing.assert_allclose(fit.delta_hat, reference.delta, rtol=1e-10, atol=0.0)
+                np.testing.assert_allclose(fit.sigma_eps_i, sigma_i, rtol=1e-10, atol=0.0)
+                fitted += 1
+        assert fitted >= 50
+
+    @pytest.mark.parametrize("make", [lambda rng: exact_break_panel(rng, n=10, t=20, b0=10), exact_tie_panel])
+    def test_guard_decided_argmin_keeps_its_fit(self, rng, make):
+        # A near-exact fit and a tied minimum are scored by cce_fit, whose fit is kept.
+        panel, spec = make(rng)
+        fit = fit_break(panel, spec, c_alpha=11.0)
+        reference = cce_fit(panel, spec, fit.b_hat, ProjectorMode.ESTIMATION)
+        assert np.array_equal(fit.delta_hat, reference.delta)
+        assert np.array_equal(fit.sigma_eps_i, moment_estimates(panel, reference)[2])

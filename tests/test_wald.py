@@ -28,7 +28,7 @@ from panelbreak.exceptions import (
 from panelbreak.panel import testing_candidates as trimmed_candidates
 from panelbreak.wald import delta_covariance, kernel_weight, wald_from_fit
 
-from conftest import exact_break_panel, random_panel
+from conftest import acceptance_01_cases, exact_break_panel, random_panel
 
 
 class TestKernels:
@@ -196,29 +196,6 @@ class TestSupWald:
             sup_wald(panel, spec, sw_critical=1.0)
 
 
-def acceptance_01_cases():
-    """The 100 (panel, spec, hac) draws of test_engine.py's acceptance-01 panels."""
-    hacs = (
-        HacConfig(),
-        HacConfig(kernel=Kernel.TRUNCATED_UNIFORM, bandwidth=3),
-        HacConfig(homoskedastic_shortcut=True),
-    )
-    rng = np.random.default_rng(101)
-    for trial in range(100):
-        n = int(rng.integers(4, 9))
-        t = int(rng.integers(8, 16))
-        k = int(rng.integers(1, 4))
-        d_cols = int(rng.integers(0, 3))
-        panel = random_panel(rng, n=n, t=t, k=k, d_cols=d_cols)
-        r = int(rng.integers(1, k + 1))
-        breaking = sorted(rng.choice(k, size=r, replace=False).tolist())
-        lo = max(r, d_cols + r + 1)
-        hi = min(t - r - 1, t - d_cols - r - 2)
-        if lo <= hi:
-            rng.integers(lo, hi + 1)
-        yield panel, BreakSpec.from_indices(k, breaking), hacs[trial % len(hacs)]
-
-
 class TestChunking:
     def test_chunk_size_does_not_change_values(self, rng, monkeypatch):
         cases = [*acceptance_01_cases(), (*exact_break_panel(rng, n=10, t=20, b0=10), HacConfig())]
@@ -248,6 +225,59 @@ class TestChunking:
         assert one_date == every_date
         # The same dates fall back to the reference fit, inside whole-window chunks.
         assert reference_calls[n_reference:] == reference_calls[:n_reference] != []
+
+
+class TestRankExclusion:
+    """The engine excludes a date whose M_X̃ Z̃(b) is rank-deficient beyond doubt."""
+
+    def test_engine_messages_are_the_reference_errors(self):
+        config = DgpConfig(n_units=200, n_periods=10, b0=5, delta=(0.35,), seed=0)
+        cases = [(panel, spec) for panel, spec, _ in acceptance_01_cases()]
+        cases.append((generate(config)[0], config.break_spec()))
+        checked = 0
+        for panel, spec in cases:
+            for fits in estimator.TestingProfile(panel, spec).fits(trimmed_candidates(spec, panel.n_periods)):
+                for b, message in fits.excluded.items():
+                    with pytest.raises(RankConditionFailure) as err:
+                        wald_at(panel, spec, b)
+                    assert str(err.value) == message
+                    checked += 1
+        assert checked > 0
+
+    def test_both_branches_run(self, monkeypatch):
+        reference_dates, decisions = [], []
+        clear_rank = estimator._clear_rank
+
+        def spy_wald_at(panel, spec, b, hac=None):
+            reference_dates.append(b)
+            return wald_at(panel, spec, b, hac)
+
+        def spy_clear_rank(rz, data_scale):
+            decisions.append(clear_rank(rz, data_scale))
+            return decisions[-1]
+
+        monkeypatch.setattr(wald, "wald_at", spy_wald_at)
+        monkeypatch.setattr(estimator, "_clear_rank", spy_clear_rank)
+        excluded_alone = undecided = 0
+        for panel, spec, hac in acceptance_01_cases():
+            reference_dates.clear()
+            decisions.clear()
+            try:
+                result = sup_wald(panel, spec, hac, sw_critical=5.0)
+                excluded = set(result.excluded_dates)
+            except RankConditionFailure:
+                excluded = set(trimmed_candidates(spec, panel.n_periods))
+            excluded_alone += len(excluded - set(reference_dates))
+            # Each date left undecided by the singular values goes to wald_at.
+            assert decisions.count(None) <= len(reference_dates)
+            undecided += decisions.count(None)
+        assert excluded_alone > 0 and undecided > 0
+
+    def test_benchmark_design_excludes_b1_without_reference_fit(self, cce_fit_calls):
+        config = DgpConfig(n_units=200, n_periods=10, b0=5, delta=(0.35,), seed=0)
+        result = sup_wald(generate(config)[0], config.break_spec())
+        assert 1 in result.excluded_dates
+        assert cce_fit_calls == []
 
 
 class TestSequentialBreaks:
