@@ -59,14 +59,25 @@ def _add_data_args(p):
     p.add_argument("--no-intercept", action="store_true", help="drop the default intercept column of d")
 
 
-def _add_common_args(p):
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--trim", type=float, default=0.15)
-    p.add_argument("--kernel", choices=["bartlett", "uniform"], default="bartlett")
-    p.add_argument("--bandwidth", default="auto", help="integer lag bandwidth, or 'auto' for floor(T^(1/3))")
-    p.add_argument("--max-breaks", type=int, default=5)
+def _add_fit_args(p, verb: str):
+    # Each verb takes the flags it reads; the trim only shapes the testing candidates.
+    if verb != "estimate":
+        p.add_argument("--alpha", type=float, default=0.05)
+    if verb in ("test", "detect"):
+        p.add_argument("--trim", type=float, default=0.15)
+        p.add_argument("--kernel", choices=["bartlett", "uniform"], default="bartlett")
+        p.add_argument("--bandwidth", default="auto", help="integer lag bandwidth, or 'auto' for floor(T^(1/3))")
+    if verb == "detect":
+        p.add_argument("--max-breaks", type=int, default=5)
+
+
+def _add_output_args(p):
     p.add_argument("--out", help="write the report to this path (default stdout)")
     p.add_argument("--format", choices=["json", "text"], default="json")
+
+
+def _listed(values) -> str:
+    return ",".join(map(str, values))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -80,15 +91,15 @@ def build_parser() -> argparse.ArgumentParser:
     ]:
         p = sub.add_parser(name, help=helptext)
         _add_data_args(p)
-        _add_common_args(p)
+        _add_fit_args(p, name)
+        _add_output_args(p)
     p = sub.add_parser("simulate", help="Monte Carlo experiment from a config file")
     p.add_argument("--config", required=True, help="key = value experiment config file")
-    p.add_argument("--out")
-    p.add_argument("--format", choices=["json", "text"], default="json")
+    _add_output_args(p)
     p = sub.add_parser("tables", help="regenerate the critical-value cache")
-    p.add_argument("--orders", default="1,2,3,4,5,6", help="comma-separated Bessel orders r")
-    p.add_argument("--trims", default="0.05,0.10,0.15,0.20")
-    p.add_argument("--alphas", default="0.01,0.05,0.10")
+    p.add_argument("--orders", default=_listed(limits.DEFAULT_BESSEL_ORDERS), help="comma-separated Bessel orders r")
+    p.add_argument("--trims", default=_listed(limits.DEFAULT_TRIMS))
+    p.add_argument("--alphas", default=_listed(limits.DEFAULT_ALPHAS))
     p.add_argument("--n-paths", type=int, default=200_000)
     p.add_argument("--seed", type=int, default=limits.SimConfig().seed)
     p.add_argument("--out", help="cache file to write (default: the packaged cache)")
@@ -122,19 +133,20 @@ def _build_inputs(args):
         common_path=args.common_input,
         intercept=not args.no_intercept,
     )
-    spec = BreakSpec.from_indices(
-        len(x_names), [x_names.index(n) for n in break_names], trim_fraction=args.trim
-    )
-    if args.bandwidth == "auto":
-        bandwidth = None
-    else:
-        try:
-            bandwidth = int(args.bandwidth)
-        except ValueError:
-            raise InputError("--bandwidth must be an integer or 'auto'") from None
+    trim = {"trim_fraction": args.trim} if "trim" in args else {}
+    spec = BreakSpec.from_indices(len(x_names), [x_names.index(n) for n in break_names], **trim)
+    return panel, spec, x_names, break_names
+
+
+def _hac(args) -> HacConfig:
     kernel = Kernel.BARTLETT if args.kernel == "bartlett" else Kernel.TRUNCATED_UNIFORM
-    hac = HacConfig(kernel=kernel, bandwidth=bandwidth)
-    return panel, spec, hac, x_names, break_names
+    if args.bandwidth == "auto":
+        return HacConfig(kernel=kernel)
+    try:
+        bandwidth = int(args.bandwidth)
+    except ValueError:
+        raise InputError("--bandwidth must be an integer or 'auto'") from None
+    return HacConfig(kernel=kernel, bandwidth=bandwidth)
 
 
 def _date(panel: PanelData, b: int) -> dict:
@@ -240,7 +252,8 @@ def _render_text(report: dict) -> str:
 def _cmd_detect(args) -> int:
     if args.max_breaks < 1:
         raise InputError("max_breaks must be >= 1")
-    panel, spec, hac, x_names, break_names = _build_inputs(args)
+    panel, spec, x_names, break_names = _build_inputs(args)
+    hac = _hac(args)
     stages: dict = {}
     breaks = []
     wald = sup_wald(panel, spec, hac, args.alpha)
@@ -265,14 +278,14 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_test(args) -> int:
-    panel, spec, hac, _, _ = _build_inputs(args)
-    wald = sup_wald(panel, spec, hac, args.alpha)
+    panel, spec, _, _ = _build_inputs(args)
+    wald = sup_wald(panel, spec, _hac(args), args.alpha)
     _emit(args, _report(args, {"sup_wald": _wald_payload(panel, wald)}, _warnings(wald)))
     return EXIT_OK
 
 
 def _cmd_estimate(args) -> int:
-    panel, spec, _, _, _ = _build_inputs(args)
+    panel, spec, _, _ = _build_inputs(args)
     profile = estimate_breakpoint(panel, spec)
     stages = {
         "estimate": {"b_hat": _date(panel, profile.b_hat), "ssr_profile": _ssr_payload(profile)}
@@ -282,7 +295,7 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_ci(args) -> int:
-    panel, spec, _, x_names, break_names = _build_inputs(args)
+    panel, spec, x_names, break_names = _build_inputs(args)
     fit = fit_break(panel, spec, alpha=args.alpha)
     stages = {"fit": _fit_payload(panel, fit, x_names, break_names)}
     _emit(args, _report(args, stages, _warnings(fits=[fit])))
@@ -336,9 +349,7 @@ def _cmd_tables(args) -> int:
     if not all(0.0 < a < 1.0 for a in alphas):
         raise InputError("--alphas must lie in (0, 1)")
     sim = limits.SimConfig(n_paths=args.n_paths, seed=args.seed)
-    payload = limits.generate_default_tables(
-        sim, orders=orders, trims=trims, alphas=alphas
-    )
+    payload = limits.generate_tables(sim, orders, trims, alphas)
     out = args.out or os.fspath(limits._packaged_cache_path())
     limits.write_cache(out, payload)
     sys.stdout.write(f"wrote {len(payload['tables'])} tables to {out}\n")

@@ -19,7 +19,7 @@ from .estimator import _estimation_profile, _interval
 from .exceptions import ConfigInvariantViolation, ExperimentError, InputError, PanelBreakError
 from .limits import argmax_quantile, sup_bessel_critical
 from .panel import BreakSpec, PanelData
-from .wald import HacConfig, sup_wald
+from .wald import sup_wald
 
 
 @dataclass(frozen=True)
@@ -65,9 +65,9 @@ class DgpConfig:
         if not (0.0 <= lo <= hi):
             raise ConfigInvariantViolation("invalid idiosyncratic variance range")
 
-    def break_spec(self, **kwargs) -> BreakSpec:
+    def break_spec(self) -> BreakSpec:
         breaking = list(range(self.k - self.r, self.k))
-        return BreakSpec.from_indices(self.k, breaking, **kwargs)
+        return BreakSpec.from_indices(self.k, breaking)
 
 
 @dataclass(frozen=True)
@@ -83,8 +83,6 @@ class DgpTruth:
 
 def _ar1_factors(rng, n_periods: int, m: int, rho: float) -> np.ndarray:
     innovations = rng.standard_normal((n_periods, m))
-    if rho == 0.0:
-        return innovations
     scale = math.sqrt(1.0 - rho * rho)
     f = np.empty((n_periods, m))
     f[0] = innovations[0]
@@ -177,23 +175,24 @@ def _mean(values) -> tuple:
     return float(v.mean()), float(v.std(ddof=1) / math.sqrt(len(v))) if len(v) > 1 else 0.0
 
 
+MAX_ERROR_FRACTION = 0.01
+
+
 def run_experiment(
     config: DgpConfig,
     pipeline: str = "FULL",
     reps: int = 100,
     alpha: float = 0.05,
-    hac: HacConfig | None = None,
     c_alpha: float | None = None,
     sw_critical: float | None = None,
-    max_error_fraction: float = 0.01,
 ) -> ExperimentReport:
     """Run ``reps`` replications of ESTIMATE, TEST or FULL and aggregate.
 
     Critical values (``c_alpha`` for the date interval, ``sw_critical``
     for the sup-Wald test) are resolved once from the cache so that the
-    replication loop never re-simulates limit laws. Replications that
-    error are counted; more than ``max_error_fraction`` of them aborts
-    the experiment to surface systematic failures.
+    replication loop never re-simulates limit laws; the test uses
+    ``HacConfig()``. Replications that error are counted; more than
+    ``MAX_ERROR_FRACTION`` of them abort, to surface systematic failures.
     """
     pipeline = pipeline.upper()
     if pipeline not in {"ESTIMATE", "TEST", "FULL"}:
@@ -205,7 +204,6 @@ def run_experiment(
         raise InputError("alpha must lie in (0, 1]")
     if pipeline != "ESTIMATE" and not 0.0 < alpha < 1.0:
         raise InputError("alpha must lie in (0, 1)")
-    hac = hac or HacConfig()
     estimate = pipeline in {"ESTIMATE", "FULL"}
     test = pipeline in {"TEST", "FULL"}
     spec = config.break_spec()
@@ -217,7 +215,7 @@ def run_experiment(
     seeds = np.random.SeedSequence(config.seed).spawn(reps)
     hits, abs_errors, covered, widths, rejections = [], [], [], [], []
     n_errors = 0
-    max_errors = max(1, int(max_error_fraction * reps))
+    max_errors = max(1, int(MAX_ERROR_FRACTION * reps))
     for rep, seed in enumerate(seeds):
         try:
             panel, truth = generate(config, seed=seed)
@@ -232,7 +230,7 @@ def run_experiment(
                 if truth.b0 is not None:
                     covered.append(lower <= truth.b0 <= upper)
             if test:
-                result = sup_wald(panel, spec, hac, alpha, sw_critical=sw_critical)
+                result = sup_wald(panel, spec, alpha=alpha, sw_critical=sw_critical)
                 rejections.append(result.reject_sw)
         except PanelBreakError:
             n_errors += 1

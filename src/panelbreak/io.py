@@ -2,7 +2,8 @@
 
 Long format: header ``unit,time,y,<x-names...>`` with one row per
 (unit, time); optional second file ``time,<d-names...>`` for known
-common regressors. UTF-8, '.' decimal separator, IEEE doubles.
+common regressors. UTF-8 (a leading byte-order mark is skipped), '.'
+decimals, IEEE doubles.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ def _parse_time(token: str):
 
 
 def _read_rows(path):
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
@@ -43,6 +44,8 @@ def _column_indices(header, names, path):
     for name in names:
         if name not in header:
             raise InputError(f"{path}: column {name!r} not found in {header}")
+        if names.count(name) + header.count(name) > 2:
+            raise InputError(f"{path}: column {name!r} is named more than once")
         indices.append(header.index(name))
     return indices
 
@@ -70,7 +73,7 @@ def _parse_rows(path, rows, idx, n_labels):
 
 
 def _raise_first_bad_record(path, idx, n_labels):
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         next(reader, None)
         start = reader.line_num + 1
@@ -87,19 +90,17 @@ def _raise_first_bad_record(path, idx, n_labels):
                 raise InputError(f"{path}:{lineno}: {err}") from None
 
 
-def read_panel_rows(path, y: str, x_names, unit: str = "unit", time: str = "time"):
+def read_panel_rows(path, y: str, x_names):
     """Read long-format observation rows (unit, time, y, x...)."""
     header, rows = _read_rows(path)
-    idx = _column_indices(header, [unit, time, y, *x_names], path)
+    idx = _column_indices(header, ["unit", "time", y, *x_names], path)
     return _parse_rows(path, rows, idx, n_labels=2)
 
 
-def read_common_rows(path, d_names=None, time: str = "time"):
-    """Read common-regressor rows (time, d...); all non-time columns by default."""
+def read_common_rows(path):
+    """Read common-regressor rows (time, d...); every column but ``time`` is a regressor."""
     header, rows = _read_rows(path)
-    if d_names is None:
-        d_names = [h for h in header if h != time]
-    idx = _column_indices(header, [time, *d_names], path)
+    idx = _column_indices(header, ["time", *(h for h in header if h != "time")], path)
     return _parse_rows(path, rows, idx, n_labels=1)
 
 
@@ -142,11 +143,10 @@ def load_panel(
     y: str,
     x_names,
     common_path=None,
-    d_names=None,
     intercept: bool = True,
 ) -> PanelData:
     raw = read_panel_rows(panel_path, y, x_names)
-    common = read_common_rows(common_path, d_names) if common_path else None
+    common = read_common_rows(common_path) if common_path else None
     return build_panel(raw, common_rows=common, intercept=intercept)
 
 

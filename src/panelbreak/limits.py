@@ -228,21 +228,20 @@ def _load_packaged():
     global _packaged_loaded
     if _packaged_loaded:
         return
+    path = _packaged_cache_path()
+    if path.is_file():  # without the shipped tables every lookup simulates
+        try:
+            load_tables(json.loads(path.read_text()))
+        except (ValueError, InputError) as err:
+            raise InputError(f"{path}: unreadable critical-value cache: {err}") from None
     _packaged_loaded = True
-    try:
-        path = _packaged_cache_path()
-        payload = json.loads(path.read_text())
-    except (FileNotFoundError, OSError):
-        return
-    load_tables(payload)
 
 
 def load_tables(payload: dict) -> int:
     """Merge a cache payload into the in-memory table store."""
-    if payload.get("schema_version") != _CACHE_SCHEMA_VERSION:
-        raise InputError(
-            f"unsupported cache schema {payload.get('schema_version')!r}"
-        )
+    version = payload.get("schema_version") if isinstance(payload, dict) else None
+    if version != _CACHE_SCHEMA_VERSION:
+        raise InputError(f"unsupported cache schema {version!r}")
     tables = payload.get("tables", [])
     for raw in tables:
         try:
@@ -267,9 +266,8 @@ def dump_tables() -> dict:
     }
 
 
-def write_cache(path, payload: dict | None = None) -> None:
+def write_cache(path, payload: dict) -> None:
     """Atomic write (temp file + rename) of the cache payload."""
-    payload = payload if payload is not None else dump_tables()
     write_text_atomic(path, json.dumps(payload, indent=1, sort_keys=True))
 
 
@@ -327,14 +325,8 @@ def sup_bessel_critical(
     return _store(_sup_bessel_entries(r, sim, [eps], [prob])[0])["quantiles"][pkey]
 
 
-def generate_default_tables(
-    sim: SimConfig | None = None,
-    orders=DEFAULT_BESSEL_ORDERS,
-    trims=DEFAULT_TRIMS,
-    alphas=DEFAULT_ALPHAS,
-) -> dict:
-    """Recompute the shipped sup-Bessel cache grid; returns the cache payload."""
-    sim = sim or SimConfig()
+def generate_tables(sim: SimConfig, orders, trims, alphas) -> dict:
+    """Simulate and store the sup-Bessel tables of a grid; returns the cache payload."""
     bessel_probs = sorted({1.0 - a for a in alphas})
     tables = [e for r in orders for e in _sup_bessel_entries(r, sim, trims, bessel_probs)]
     for entry in tables:

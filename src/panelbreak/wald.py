@@ -46,7 +46,6 @@ class HacConfig:
 
     kernel: Kernel = Kernel.BARTLETT
     bandwidth: int | None = None
-    homoskedastic_shortcut: bool = False
 
     def __post_init__(self):
         if self.bandwidth is not None and self.bandwidth < 1:
@@ -82,7 +81,7 @@ def _invert_psd(mats: np.ndarray):
     return (vecs / vals[:, None, :]) @ vecs.transpose(0, 2, 1), errors
 
 
-def _sandwich(z: np.ndarray, resid: np.ndarray, ssr: np.ndarray, n: int, hac: HacConfig):
+def _sandwich(z: np.ndarray, resid: np.ndarray, n: int, hac: HacConfig):
     """Sandwich covariances of a stack of fits, and the failed Omega inversions.
 
     ``z`` (B, T*N, r) and ``resid`` (B, T*N) are time-major, so each lag's
@@ -90,8 +89,6 @@ def _sandwich(z: np.ndarray, resid: np.ndarray, ssr: np.ndarray, n: int, hac: Ha
     """
     nt = z.shape[1]
     omega_inv, errors = _invert_psd(z.transpose(0, 2, 1) @ z / nt)
-    if hac.homoskedastic_shortcut:
-        return (ssr / nt)[:, None, None] * omega_inv, errors
     t = nt // n
     s_t = hac.resolve_bandwidth(t)
     scores = resid[:, :, None] * z
@@ -115,7 +112,7 @@ def _wald_stats(fits: FitStack, hac: HacConfig):
     live = ~(fits.ssr <= 1e-14 * fits.y_ss)
     pick = slice(None) if live.all() else np.flatnonzero(live)
     delta = fits.delta[pick]
-    sigma, errors = _sandwich(fits.z_partialled[pick], fits.resid[pick], fits.ssr[pick], fits.n_units, hac)
+    sigma, errors = _sandwich(fits.z_partialled[pick], fits.resid[pick], fits.n_units, hac)
     sigma_inv, sigma_errors = _invert_psd(sigma)
     stat = ((nt * delta)[:, None, :] @ sigma_inv @ delta[:, :, None])[:, 0, 0]
     stats[pick] = np.where(0.0 > stat, 0.0, stat)
@@ -133,7 +130,7 @@ def _one_date(fit: CceFit) -> FitStack:
 def delta_covariance(fit: CceFit, hac: HacConfig) -> np.ndarray:
     """Sandwich covariance of the break-size estimate at one date."""
     one = _one_date(fit)
-    sigma, errors = _sandwich(one.z_partialled, one.resid, one.ssr, one.n_units, hac)
+    sigma, errors = _sandwich(one.z_partialled, one.resid, one.n_units, hac)
     if errors:
         raise SingularCovariance(errors[0])
     return sigma[0]

@@ -75,7 +75,6 @@ def acceptance_01_cases():
     hacs = (
         HacConfig(),
         HacConfig(kernel=Kernel.TRUNCATED_UNIFORM, bandwidth=3),
-        HacConfig(homoskedastic_shortcut=True),
     )
     rng = np.random.default_rng(101)
     for trial in range(100):

@@ -10,6 +10,7 @@ import pytest
 
 from panelbreak import DgpConfig, PanelData, SimConfig, generate, limits
 from panelbreak.cli import EXIT_OK, EXIT_STATISTICAL, EXIT_USAGE, main
+from panelbreak.exceptions import InputError
 from panelbreak.io import write_panel_csv
 
 
@@ -131,6 +132,43 @@ class TestOtherVerbs:
         fit = report["stages"]["fit"]
         assert fit["ci"]["lower"]["index"] <= fit["b_hat"]["index"]
         assert set(fit["beta_hat"]) == {"x1", "x2"}
+
+
+# The flags each fitting verb takes beyond the data and output flags.
+DATA_AND_OUTPUT = {"input", "common_input", "y", "x", "break_x", "no_intercept", "out", "format"}
+VERB_OPTIONS = {
+    "detect": {"alpha", "trim", "kernel", "bandwidth", "max_breaks"},
+    "test": {"alpha", "trim", "kernel", "bandwidth"},
+    "ci": {"alpha"},
+    "estimate": set(),
+}
+
+
+class TestVerbOptions:
+    @pytest.mark.parametrize("verb", sorted(VERB_OPTIONS))
+    def test_config_echoes_only_the_flags_read(self, capsys, null_csv, verb):
+        code, report = run_json(capsys, [verb, *base_args(null_csv)])
+        assert code == EXIT_OK
+        assert set(report["config"]) == {"command", *DATA_AND_OUTPUT, *VERB_OPTIONS[verb]}
+
+    @pytest.mark.parametrize(
+        "verb, flag, value",
+        [
+            ("test", "--max-breaks", "2"),
+            ("ci", "--trim", "0.3"),
+            ("ci", "--kernel", "uniform"),
+            ("ci", "--bandwidth", "9"),
+            ("ci", "--max-breaks", "2"),
+            ("estimate", "--alpha", "0.1"),
+            ("estimate", "--trim", "0.3"),
+            ("estimate", "--kernel", "uniform"),
+            ("estimate", "--bandwidth", "9"),
+            ("estimate", "--max-breaks", "2"),
+        ],
+    )
+    def test_flag_the_verb_ignores_is_usage_error(self, capsys, null_csv, verb, flag, value):
+        assert main([verb, *base_args(null_csv), flag, value]) == EXIT_USAGE
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
 
 class TestSimulate:
@@ -272,6 +310,27 @@ class TestFailureModes:
         # Nothing in detect, test, estimate or ci is random.
         assert main(["detect", *base_args(null_csv), "--seed", "3"]) == EXIT_USAGE
         capsys.readouterr()
+
+    @pytest.mark.parametrize("y, x", [("y", "x1,x2,x2"), ("x1", "x1,x2")])
+    def test_repeated_column_is_usage_error(self, capsys, null_csv, y, x):
+        argv = ["ci", "--input", null_csv, "--y", y, "--x", x, "--break-x", "x2"]
+        assert main(argv) == EXIT_USAGE
+        assert "is named more than once" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["truncated", "not an object"])
+    def test_unreadable_packaged_cache_is_usage_error(self, capsys, null_csv, tmp_path, monkeypatch, kind):
+        bad = tmp_path / "critical_values.json"
+        bad.write_text(limits._packaged_cache_path().read_text()[:100] if kind == "truncated" else "[]")
+        monkeypatch.setattr(limits, "_packaged_cache_path", lambda: bad)
+        limits.clear_memory_cache()
+        try:
+            for _ in range(2):  # a failed load is tried again, not skipped
+                with pytest.raises(InputError, match="critical_values.json"):
+                    limits.sup_bessel_critical(1, 0.15, 0.05)
+            assert main(["test", *base_args(null_csv)]) == EXIT_USAGE
+            assert "critical_values.json" in capsys.readouterr().err
+        finally:
+            limits.clear_memory_cache()
 
     def test_bad_bandwidth(self, capsys, null_csv):
         argv = ["detect", *base_args(null_csv), "--bandwidth", "wide"]

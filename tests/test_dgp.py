@@ -97,6 +97,13 @@ class TestGenerate:
         rho_hat = np.corrcoef(f[:-1, 0], f[1:, 0])[0, 1]
         assert rho_hat == pytest.approx(0.5, abs=0.05)
 
+    @pytest.mark.parametrize("n_periods, m, seed", [(3, 1, 0), (10, 1, 5), (42, 2, 9)])
+    def test_iid_factors_are_the_innovations(self, n_periods, m, seed):
+        # At rho = 0 the AR(1) recursion returns its innovations bit for bit.
+        cfg = DgpConfig(n_periods=n_periods, r=m, m=m, delta=(1.0,) * m, b0=None, factor_rho=0.0, seed=seed)
+        innovations = np.random.default_rng(seed).standard_normal((n_periods, m))
+        assert generate(cfg)[1].factors.tobytes() == innovations.tobytes()
+
     def test_cross_sectional_average_tracks_factor(self):
         # The rotational-consistency mechanism: with one factor, the
         # average regressor is essentially a rotated copy of it.

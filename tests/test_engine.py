@@ -34,7 +34,6 @@ REL_TOL = 1e-8
 HAC_CONFIGS = (
     HacConfig(),
     HacConfig(kernel=Kernel.TRUNCATED_UNIFORM, bandwidth=3),
-    HacConfig(homoskedastic_shortcut=True),
 )
 
 

@@ -128,6 +128,28 @@ class TestReadPanel:
         write_csv(path, ["time,trend", "1,0.0", "2,1.5"])
         assert read_common_rows(path) == [(1, 0.0), (2, 1.5)]
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # Excel's "CSV UTF-8" export starts each file with a byte-order mark.
+        rows = ["unit,time,y,x1", "a,1,1.0,0.1", "a,2,2.0,0.2", "b,1,3.0,0.3", "b,2,4.0,0.4"]
+        common = ["time,trend", "1,0.0", "2,1.0"]
+        panels = []
+        for bom in ("", "\ufeff"):
+            write_csv(tmp_path / "p.csv", [bom + rows[0], *rows[1:]])
+            write_csv(tmp_path / "d.csv", [bom + common[0], *common[1:]])
+            panels.append(load_panel(tmp_path / "p.csv", y="y", x_names=["x1"], common_path=tmp_path / "d.csv"))
+        plain, marked = panels
+        for name in ("y", "x", "d", "unit_labels", "time_labels"):
+            assert np.array_equal(getattr(marked, name), getattr(plain, name))
+        write_csv(tmp_path / "p.csv", ["\ufeffunit,time,y,x1", "a,1,1.0,0.5", "a,2,oops,0.5"])
+        with pytest.raises(InputError, match=r"p\.csv:3: .*'oops'"):
+            read_panel_rows(tmp_path / "p.csv", y="y", x_names=["x1"])
+
+    def test_repeated_common_column_is_an_input_error(self, tmp_path):
+        path = tmp_path / "d.csv"
+        write_csv(path, ["time,d,d", "1,0.5,0.7", "2,1.0,1.2"])
+        with pytest.raises(InputError, match=r"d\.csv: column 'd' is named more than once"):
+            read_common_rows(path)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("")

@@ -136,31 +136,6 @@ class TestWaldStatistic:
         omega_inv = np.linalg.inv(np.einsum("itp,itq->pq", zt, zt) / nt)
         assert np.allclose(sigma, omega_inv @ psi @ omega_inv, rtol=0.0, atol=1e-10)
 
-    def test_homoskedastic_shortcut_formula(self, rng):
-        panel = random_panel(rng, n=10, t=12, k=2)
-        spec = BreakSpec.from_indices(2, [1])
-        fit = cce_fit(panel, spec, 6, ProjectorMode.TESTING)
-        sigma = delta_covariance(fit, HacConfig(homoskedastic_shortcut=True))
-        nt = 10 * 12
-        omega = np.einsum("itp,itq->pq", fit.z_partialled, fit.z_partialled) / nt
-        oracle = (fit.ssr / nt) * np.linalg.inv(omega)
-        assert np.allclose(sigma, oracle, atol=1e-12)
-
-    def test_shortcut_tracks_hac_under_homoskedasticity(self, rng):
-        # Under iid errors the two covariance estimates agree in
-        # expectation; compare average traces across replications.
-        spec = BreakSpec.from_indices(2, [1])
-        tr_hac, tr_short = 0.0, 0.0
-        for rep in range(200):
-            x = rng.standard_normal((30, 12, 2))
-            y = x @ np.ones(2) + rng.standard_normal((30, 12))
-            fit = cce_fit(PanelData(y=y, x=x), spec, 6, ProjectorMode.TESTING)
-            tr_hac += np.trace(delta_covariance(fit, HacConfig()))
-            tr_short += np.trace(
-                delta_covariance(fit, HacConfig(homoskedastic_shortcut=True))
-            )
-        assert 0.8 <= tr_hac / tr_short <= 1.2
-
 
 class TestSupWald:
     def test_profile_structure(self, rng):
