@@ -222,15 +222,17 @@ def run_experiment(
             if estimate:
                 profile, fit = _estimation_profile(panel, spec)
                 b_hat = profile.b_hat
+                lower, upper, _ = _interval(panel, spec, b_hat, alpha, c_alpha, fit)[0]
+            if test:
+                result = sup_wald(panel, spec, alpha=alpha, sw_critical=sw_critical)
+            # A replication counts in every metric or, when a stage raised, in none.
+            if estimate:
+                widths.append(upper - lower + 1)
                 if truth.b0 is not None:
                     hits.append(b_hat == truth.b0)
                     abs_errors.append(abs(b_hat - truth.b0))
-                lower, upper, _ = _interval(panel, spec, b_hat, alpha, c_alpha, fit)[0]
-                widths.append(upper - lower + 1)
-                if truth.b0 is not None:
                     covered.append(lower <= truth.b0 <= upper)
             if test:
-                result = sup_wald(panel, spec, alpha=alpha, sw_critical=sw_critical)
                 rejections.append(result.reject_sw)
         except PanelBreakError:
             n_errors += 1

@@ -184,7 +184,7 @@ class _ArgminFit:
     residuals: np.ndarray  # N x T
 
 
-def _estimation_profile(panel: PanelData, spec: BreakSpec):
+def _estimation_profile(panel: PanelData, spec: BreakSpec, with_fit: bool = True):
     """SSR(b) over the estimation candidates, and the fit at the argmin.
 
     The ESTIMATION projector Q on span(D, X̄) does not depend on b, so y
@@ -193,6 +193,7 @@ def _estimation_profile(panel: PanelData, spec: BreakSpec):
     suffix sums over t, and SSR(b) = ry'ry - g'A^{-1}g with g = rz'ry and
     A = rz'rz. At the argmin, delta = A^{-1}g and the residuals are
     ry - rz delta; where ``cce_fit`` decided that date, its fit is kept.
+    Without ``with_fit`` the second value is None, unless a guard made it.
     """
     dates = estimation_candidates(spec, panel.n_periods)
     if not dates:
@@ -249,8 +250,9 @@ def _estimation_profile(panel: PanelData, spec: BreakSpec):
                 refit(j)
     result = profile()
     j = result.argmin_index
-    if best is not None and best[0] == j:
-        return result, best[1]
+    kept = best[1] if best is not None and best[0] == j else None
+    if kept is not None or not with_fit:
+        return result, kept
     zb = z * post_break_mask(t, dates[j])[:, None]
     rz = zb - q @ (q.T @ zb) - xt @ sxx_inv_xz[:, j, :]
     delta = np.linalg.solve(gram[j], g[j])
@@ -271,56 +273,69 @@ def _clear_rank(rz: np.ndarray, data_scale: float):
     return int(np.sum(s > cutoff))
 
 
-# Bytes of N*T*(1+k+r) float64 working data that one chunk of testing
-# dates may hold: all 8 dates of a 200 x 10 panel, one date of a 100 x 240.
-_CHUNK_BYTES = 512 * 1024
+# Bytes of the B x (1+r) x N*T stack of residuals and M_X̃ Z̃(b) that one
+# chunk of testing dates may hold: all 8 dates of a 200 x 10 panel, two of a
+# 100 x 240.
+_CHUNK_BYTES = 1024 * 1024
+_GUARD_CANCEL = 1e-6  # smallest diagonal of Gram(b) relative to the same entry of F(b)'F(b)
 
 
 @dataclass(frozen=True)
 class FitStack:
     """TESTING-mode fits at B dates, stacked along a leading axis.
 
-    ``resid`` (B, T*N) and ``z_partialled`` (B, T*N, r) are time-major:
-    row t*N + i is unit i in period t. ``excluded`` maps each date of the
-    chunk that fails the rank condition beyond doubt to ``cce_fit``'s message.
+    ``resid`` (B, T*N) and ``z_partialled`` (B, r, T*N), the rows of
+    M_X̃ Z̃(b), are time-major: column t*N + i is unit i in period t.
+    ``y_ss`` is ỹ'ỹ and ``design_gram`` is W̃'W̃ for W̃ = (X̃, Z̃(b)).
+    ``excluded`` maps each date of the chunk that fails the rank condition
+    beyond doubt to ``cce_fit``'s message.
     """
 
     dates: tuple
     n_units: int
+    beta: np.ndarray
     delta: np.ndarray
     resid: np.ndarray
     z_partialled: np.ndarray
     ssr: np.ndarray
     y_ss: np.ndarray
+    design_gram: np.ndarray
     excluded: dict = field(default_factory=dict)
 
 
 class TestingProfile:
     """TESTING-mode fits at the candidate dates of one panel, a chunk at a time.
 
-    [y, X, XR] is laid out time-major once, and X̄ and X̄R are formed once.
-    A chunk of dates takes one stacked SVD of its proxy columns (each
-    slice with the rank cutoff of ``Projector.from_columns``, dropped
-    directions zeroed), one batched projection, and the Frisch-Waugh
-    solves on the stack of (1+k+r) x (1+k+r) Gram matrices. A date that
-    a guard rejects is left out of the stack, for ``cce_fit`` to decide,
-    unless its M_X̃ Z̃(b) is rank-deficient beyond doubt (``_clear_rank``).
+    F = [y, X, XR] is laid out once as (1+k+r, T, N), and X̄, X̄R and the
+    suffix sums over t of P_t = sum_i f_it f_it' are formed once: an entry
+    of F(b)'F(b) that touches a Z column sums over t > b, any other over
+    all t. A chunk of dates takes one stacked SVD of its proxy columns
+    (each slice with the rank cutoff of ``Projector.from_columns``, dropped
+    directions zeroed) and the products Q_b'F(b) on the unmasked data, and
+    solves Frisch-Waugh on Gram(b) = F(b)'F(b) - (Q_b'F)'(Q_b'F). The
+    residual and M_X̃ Z̃(b) are then W'F(b) - Q_b (Q_b'F W) for the fitted
+    weights W; no date projects the data. A date that a guard rejects, or
+    whose Gram lost digits to the subtraction, is left out of the stack for
+    ``cce_fit`` to decide, unless its M_X̃ Z̃(b) is rank-deficient beyond
+    doubt (``_clear_rank``).
     """
 
     def __init__(self, panel: PanelData, spec: BreakSpec):
-        _, t, k = self._shape = panel.x.shape
-        z = panel.x @ spec.selection
-        self._data = np.ascontiguousarray(
-            np.concatenate([panel.y[:, :, None], panel.x, z], axis=2).transpose(1, 0, 2)
-        )
-        self._x_ss = np.sum(panel.x * panel.x)
-        self._z_ss = np.flip(np.cumsum(np.flip(np.sum(z * z, axis=(0, 2)))))
+        n, t, k = self._shape = panel.x.shape
+        r = spec.n_breaking
+        self._data = data = np.empty((1 + k + r, t, n))
+        data[0], data[1 : 1 + k], data[1 + k :] = panel.y.T, panel.x.T, (panel.x @ spec.selection).T
+        self._suffix = _suffix_sums(data.transpose(1, 0, 2) @ data.transpose(1, 2, 0), np.arange(t))
+        self._x_ss = np.trace(self._suffix[0, 1 : 1 + k, 1 : 1 + k])
+        self._z_ss = np.trace(self._suffix[:, 1 + k :, 1 + k :], axis1=1, axis2=2)  # index b: over t > b
+        in_z = np.arange(1 + k + r) > k
+        self._touches_z = in_z[:, None] | in_z
         xbar = cross_sectional_average(panel)
         d = np.empty((t, 0)) if panel.d is None else panel.d
         # The TESTING proxies of projection_columns: D, D(b), X̄, X̄R(b).
         self._proxies = np.hstack([d, d, xbar, xbar @ spec.selection])
-        self._masked = np.repeat([False, True, False, True], [d.shape[1], d.shape[1], k, spec.n_breaking])
-        self._chunk = max(1, _CHUNK_BYTES // self._data.nbytes)
+        self._masked = np.repeat([False, True, False, True], [d.shape[1], d.shape[1], k, r])
+        self._chunk = max(1, _CHUNK_BYTES // (8 * (1 + r) * t * n))
 
     def fits(self, dates):
         """Yield a FitStack of the guarded fits for each chunk of ``dates``."""
@@ -329,35 +344,42 @@ class TestingProfile:
 
     def _fit_chunk(self, dates: np.ndarray) -> FitStack:
         n, t, k = self._shape
+        data, m, p = self._data, len(dates), self._data.shape[0]
         xs, zs = slice(1, 1 + k), slice(1 + k, None)
         post = np.arange(1, t + 1) > dates[:, None]
         cols = self._proxies * np.where(self._masked, post[:, :, None], 1.0)
         u, s, _ = np.linalg.svd(cols, full_matrices=False)
         q = u * (s > max(cols.shape[1:]) * np.finfo(float).eps * s[:, :1])[:, None, :]
-        work = np.repeat(self._data[None], len(dates), axis=0)
-        for j, b in enumerate(dates):
-            work[j, :b, :, zs] = 0.0
-        flat = work.reshape(len(dates), t, -1)
-        flat -= q @ (q.transpose(0, 2, 1) @ flat)
-        rows = work.reshape(len(dates), t * n, -1)
-        gram = rows.transpose(0, 2, 1) @ rows
-        ident = np.eye(gram.shape[1])  # what rejected slices solve against; they are dropped below
-        x_ok = _trusted(gram[:, xs, xs], self._x_ss)
+        qt = q.transpose(0, 2, 1)[:, None]
+        qf = np.concatenate([qt @ data[: 1 + k], (qt * post[:, None, None, :]) @ data[zs]], axis=1).reshape(m, p, -1)
+        full = np.where(self._touches_z, self._suffix[dates], self._suffix[0])  # F(b)'F(b)
+        gram = full - qf @ qf.transpose(0, 2, 1)
+        sharp = np.diagonal(gram, 0, 1, 2) >= _GUARD_CANCEL * np.diagonal(full, 0, 1, 2)
+        ident = np.eye(p)  # what rejected slices solve against; they are dropped below
+        x_ok = sharp[:, xs].all(axis=1) & _trusted(gram[:, xs, xs], self._x_ss)
         coef = np.linalg.solve(np.where(x_ok[:, None, None], gram[:, xs, xs], ident[xs, xs]), gram[:, xs, :])
         part = gram - gram[:, :, xs] @ coef
         rzz = 0.5 * (part[:, zs, zs] + part[:, zs, zs].transpose(0, 2, 1))
         z_ok = _trusted(rzz, self._z_ss[dates])
-        ok = x_ok & z_ok
+        ok = x_ok & z_ok & sharp.all(axis=1)
         delta = np.linalg.solve(np.where(ok[:, None, None], rzz, ident[zs, zs]), part[:, zs, :1])[..., 0]
         beta = coef[:, :, 0] - (coef[:, :, zs] @ delta[:, :, None])[..., 0]
-        weights = np.concatenate([np.ones((len(dates), 1)), -beta, -delta], axis=1)
-        resid = (rows @ weights[:, :, None])[..., 0]
+        # Columns of W: the residual's weights [1, -beta, -delta] and M_X̃ Z̃'s [0, -C_xz, I_r].
+        w = np.zeros((m, p, p - k))
+        w[:, 0, 0], w[:, xs, 0], w[:, zs, 0] = 1.0, -beta, -delta
+        w[:, xs, 1:], w[:, zs, 1:] = -coef[:, :, zs], ident[zs, zs]
+        qfw = (w.transpose(0, 2, 1) @ qf).reshape(m, p - k, -1, n)
+        out, flat = np.empty((m, p - k, t * n)), data.reshape(p, -1)
+        for j, b in enumerate(dates * n):  # W_A'[y, X] up to period b, W'F after it, less Q_b Q_b'F W
+            np.matmul(w[j, : 1 + k].T, flat[: 1 + k, :b], out=out[j, :, :b])
+            np.matmul(w[j].T, flat[:, b:], out=out[j, :, b:])
+            out[j] -= (q[j] @ qfw[j]).reshape(p - k, -1)
+        resid, rz = out[:, 0], out[:, 1:]
         ssr = (resid[:, None, :] @ resid[:, :, None])[:, 0, 0]
         ok &= ssr > _GUARD_FLOOR * gram[:, 0, 0]
-        rz = rows[:, :, zs] - rows[:, :, xs] @ coef[:, :, zs]
         excluded = {}
         for j in np.flatnonzero(x_ok & ~z_ok):
-            b, r = int(dates[j]), rz.shape[2]
+            b, r = int(dates[j]), rz.shape[1]
             rank = _clear_rank(rz[j], math.sqrt(self._z_ss[b]))
             if rank is not None and rank < r:
                 excluded[b] = f"partialled break regressors have rank {rank} < r={r} at b={b}"
@@ -365,11 +387,13 @@ class TestingProfile:
         return FitStack(
             dates=tuple(dates[keep].tolist()),
             n_units=n,
+            beta=beta[keep],
             delta=delta[keep],
             resid=resid[keep],
             z_partialled=rz[keep],
             ssr=ssr[keep],
             y_ss=gram[keep, 0, 0],
+            design_gram=gram[keep, 1:, 1:],
             excluded=excluded,
         )
 
@@ -394,7 +418,7 @@ def estimate_breakpoint(panel: PanelData, spec: BreakSpec) -> SsrProfile:
     needed for reproducibility. The values come from the profile engine;
     ``ssr_at`` is the reference for each of them.
     """
-    return _estimation_profile(panel, spec)[0]
+    return _estimation_profile(panel, spec, with_fit=False)[0]
 
 
 def moment_estimates(panel: PanelData, fit: CceFit):
@@ -509,16 +533,23 @@ def estimate_theta(panel: PanelData, spec: BreakSpec, b: int):
     Uses the TESTING-mode projection (the break-interacted proxies must
     be projected out for the slope estimator to be asymptotically
     normal). The covariance is the unit-clustered sandwich
-    (W̃'W̃)^{-1} [sum_i W̃_i' e_i e_i' W̃_i] (W̃'W̃)^{-1}. By Frisch-Waugh
-    theta and e come from ``cce_fit``, whose rank checks on X̃ and on
-    M_X̃ Z̃(b) together are the rank condition on W̃. The residuals lie in
-    the range of the projection, so W̃_i' e_i = W_i' e_i with the raw W.
+    (W̃'W̃)^{-1} [sum_i W̃_i' e_i e_i' W̃_i] (W̃'W̃)^{-1}. Theta, e and W̃'W̃
+    come from the testing engine's fit at ``b``; where its guards defer or
+    exclude ``b``, from ``cce_fit``, whose rank checks on X̃ and on
+    M_X̃ Z̃(b) together are the rank condition on W̃ (and whose error is
+    raised). The residuals lie in the range of the projection, so
+    W̃_i' e_i = W_i' e_i with the raw W.
     """
-    fit = cce_fit(panel, spec, b, ProjectorMode.TESTING)
-    theta = np.concatenate([fit.beta, fit.delta])
+    fits = next(TestingProfile(panel, spec).fits([b]))
+    if fits.dates:
+        n, t = panel.y.shape
+        beta, delta, resid, gram = fits.beta[0], fits.delta[0], fits.resid[0].reshape(t, n).T, fits.design_gram[0]
+    else:
+        fit = cce_fit(panel, spec, b, ProjectorMode.TESTING)
+        beta, delta, resid, gram = fit.beta, fit.delta, fit.residuals, fit.design_gram
+    theta = np.concatenate([beta, delta])
     w = np.concatenate([panel.x, z_regressors(panel, spec, b)], axis=2)
-    scores = np.einsum("itp,it->ip", w, fit.residuals)
-    gram = fit.design_gram
+    scores = np.einsum("itp,it->ip", w, resid)
     half = np.linalg.solve(gram, scores.T @ scores)
     cov = np.linalg.solve(gram, half.T).T
     return theta, cov

@@ -84,20 +84,21 @@ def _invert_psd(mats: np.ndarray):
 def _sandwich(z: np.ndarray, resid: np.ndarray, n: int, hac: HacConfig):
     """Sandwich covariances of a stack of fits, and the failed Omega inversions.
 
-    ``z`` (B, T*N, r) and ``resid`` (B, T*N) are time-major, so each lag's
-    autocovariance of the scores e_it z_it is one product of two row blocks.
+    ``z`` (B, r, T*N) and ``resid`` (B, T*N) are time-major, so each lag's
+    autocovariance of the scores e_it z_it is one product of two contiguous
+    column blocks.
     """
-    nt = z.shape[1]
-    omega_inv, errors = _invert_psd(z.transpose(0, 2, 1) @ z / nt)
+    nt = z.shape[2]
+    omega_inv, errors = _invert_psd(z @ z.transpose(0, 2, 1) / nt)
     t = nt // n
     s_t = hac.resolve_bandwidth(t)
-    scores = resid[:, :, None] * z
-    psi = scores.transpose(0, 2, 1) @ scores / nt
+    scores = resid[:, None, :] * z
+    psi = scores @ scores.transpose(0, 2, 1) / nt
     for j in range(1, t):
         w = kernel_weight(hac.kernel, j / s_t)
         if w == 0.0:
             break
-        lag = scores[:, j * n :].transpose(0, 2, 1) @ scores[:, : (t - j) * n] / nt
+        lag = scores[:, :, j * n :] @ scores[:, :, : (t - j) * n].transpose(0, 2, 1) / nt
         psi += w * (lag + lag.transpose(0, 2, 1))
     return omega_inv @ psi @ omega_inv, errors
 
@@ -123,8 +124,11 @@ def _wald_stats(fits: FitStack, hac: HacConfig):
 def _one_date(fit: CceFit) -> FitStack:
     """``fit`` as a stack of one, in the time-major layout."""
     n, t, r = fit.z_partialled.shape
-    z, resid = fit.z_partialled.transpose(1, 0, 2).reshape(1, t * n, r), fit.residuals.T.reshape(1, t * n)
-    return FitStack((fit.break_date,), n, fit.delta[None], resid, z, np.array([fit.ssr]), np.array([fit.y_ss]))
+    return FitStack(
+        dates=(fit.break_date,), n_units=n, beta=fit.beta[None], delta=fit.delta[None],
+        resid=fit.residuals.T.reshape(1, t * n), z_partialled=fit.z_partialled.T.reshape(1, r, t * n),
+        ssr=np.array([fit.ssr]), y_ss=np.array([fit.y_ss]), design_gram=fit.design_gram[None],
+    )
 
 
 def delta_covariance(fit: CceFit, hac: HacConfig) -> np.ndarray:

@@ -33,6 +33,18 @@ def break_csv(tmp_path_factory):
     return str(path)
 
 
+@pytest.fixture(scope="module")
+def long_csv(tmp_path_factory):
+    # 100 x 240 with breaks at 80 and 160: the second reverses the first.
+    cfg = DgpConfig(n_units=100, n_periods=240, b0=80, seed=7)
+    panel, _ = generate(cfg)
+    y = panel.y.copy()
+    y[:, 160:] -= cfg.delta[0] * panel.x[:, 160:, 1]
+    path = tmp_path_factory.mktemp("cli") / "long.csv"
+    write_panel_csv(PanelData(y=y, x=panel.x), path)
+    return str(path)
+
+
 def base_args(csv_path):
     return [
         "--input", csv_path,
@@ -103,6 +115,13 @@ class TestDetect:
         argv = ["detect", *base_args(request.getfixturevalue(csv)), "--max-breaks", max_breaks]
         assert main(argv) == EXIT_USAGE
         assert capsys.readouterr().err == "error: max_breaks must be >= 1\n"
+
+    def test_long_panel_makes_no_reference_fit(self, capsys, long_csv, cce_fit_calls):
+        # Every date of every window, and theta at each break, come from the engines.
+        code, report = run_json(capsys, ["detect", *base_args(long_csv), "--alpha", "0.01"])
+        assert code == EXIT_OK
+        assert sorted(br["fit"]["b_hat"]["index"] for br in report["stages"]["breaks"]) == [80, 160]
+        assert cce_fit_calls == []
 
     def test_text_format(self, capsys, null_csv):
         code = main(["detect", *base_args(null_csv), "--format", "text"])
@@ -373,3 +392,32 @@ def test_cli_import_skips_heavy_scipy_modules(tmp_path, break_csv):
     assert json.loads(out.stdout) == {"loaded": [], "codes": [EXIT_OK, EXIT_OK]}
     assert json.loads((tmp_path / "simulate.json").read_text())["replications"] == 5
     assert json.loads((tmp_path / "detect.json").read_text())["stages"]["sup_wald"]["reject"]
+
+
+def test_blas_thread_count_changes_no_decision(long_csv):
+    # detect with one and with two OpenBLAS threads: the same decisions, and
+    # floats that differ at most by the order of a threaded sum.
+    def detect(threads):
+        src = os.path.dirname(os.path.dirname(__import__("panelbreak").__file__))
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        argv = [sys.executable, "-m", "panelbreak.cli", "detect", *base_args(long_csv), "--alpha", "0.01"]
+        return json.loads(subprocess.run(argv, env=env, capture_output=True, check=True).stdout)
+
+    def assert_same(one, two, where="report"):
+        assert type(one) is type(two), where
+        if isinstance(one, dict):
+            assert one.keys() == two.keys(), where
+            for key in one:
+                assert_same(one[key], two[key], f"{where}.{key}")
+        elif isinstance(one, list):
+            assert len(one) == len(two), where
+            for j, (a, b) in enumerate(zip(one, two)):
+                assert_same(a, b, f"{where}[{j}]")
+        elif isinstance(one, float):
+            assert abs(one - two) <= 1e-12 * abs(one) or one == two, (where, one, two)
+        else:
+            assert one == two, where
+
+    one = detect("1")
+    assert len(one["stages"]["breaks"]) == 2
+    assert_same(one, detect("2"))

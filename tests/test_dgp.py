@@ -5,9 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from panelbreak import DgpConfig, generate, run_experiment
+from panelbreak import DgpConfig, dgp, generate, run_experiment
 from panelbreak.dgp import _ar1_factors
-from panelbreak.exceptions import ConfigInvariantViolation, ExperimentError
+from panelbreak.exceptions import ConfigInvariantViolation, ExperimentError, RankConditionFailure
 
 
 def noiseless(**kwargs):
@@ -178,6 +178,27 @@ class TestRunExperiment:
         report = run_experiment(config, "FULL", reps=20)
         assert report.n_errors == 0
         assert cce_fit_calls == []
+
+    def test_failed_replication_counts_in_no_metric(self, monkeypatch):
+        lengths, calls = [], []
+        rate, test = dgp._rate, dgp.sup_wald
+
+        def spy_rate(flags):
+            lengths.append(len(flags))
+            return rate(flags)
+
+        def test_failing_once(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise RankConditionFailure("injected")
+            return test(*args, **kwargs)
+
+        monkeypatch.setattr(dgp, "_rate", spy_rate)
+        monkeypatch.setattr(dgp, "sup_wald", test_failing_once)
+        config = DgpConfig(n_units=200, n_periods=10, b0=5, delta=(0.35,), seed=0)
+        report = run_experiment(config, "FULL", reps=5)
+        assert report.n_errors == 1
+        assert lengths == [4, 4, 4]  # exact hits, coverage, rejections
 
     def test_benchmark_design_report(self):
         # The benchmark's mc design, pinned to the values of the per-date reference fits.

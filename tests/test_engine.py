@@ -193,6 +193,21 @@ class TestAdversarialPanels:
         assert len(set(profile.ssr_values[2:8])) == 1
 
 
+    def test_strong_factors(self):
+        # Factors that explain almost all of y and X: F(b)'F(b) - (Q_b'F)'(Q_b'F)
+        # cancels most of its digits, so those dates are left to cce_fit.
+        rng = np.random.default_rng(5)
+        n, t = 30, 40
+        f = 50.0 * rng.standard_normal((t, 2))
+        gamma = rng.standard_normal((n, 2))
+        big_gamma = rng.standard_normal((n, 2, 2))
+        x = np.einsum("tm,imk->itk", f, big_gamma) + 5e-3 * rng.standard_normal((n, t, 2))
+        post = np.arange(1, t + 1) > 15
+        y = x @ np.ones(2) + 0.3 * x[:, :, 1] * post + gamma @ f.T + 1e-3 * rng.standard_normal((n, t))
+        panel = PanelData(y=y, x=x, d=np.ones((t, 1)))
+        assert assert_sup_wald_matches(panel, BreakSpec.from_indices(2, [1])).argmax_date == 15
+
+
 class TestDeterminism:
     def test_repeat_runs_are_byte_identical(self, rng):
         x = rng.standard_normal((30, 24, 2))

@@ -8,12 +8,14 @@ from panelbreak import (
     DgpConfig,
     PanelData,
     cce_fit,
+    estimator,
     confidence_interval,
     estimate_breakpoint,
     estimate_theta,
     fit_break,
     generate,
     ssr_at,
+    z_regressors,
 )
 from panelbreak.estimator import (
     ProjectorMode,
@@ -286,6 +288,38 @@ class TestTheta:
             traces.append(np.trace(cov))
         assert traces[1] < traces[0]
 
+    def test_engine_theta_is_the_reference_fit(self, rng):
+        # At the estimated date: the engine's theta and covariance against the
+        # ones cce_fit's TESTING fit gives, or the same error.
+        def reference(panel, spec, b):
+            fit = cce_fit(panel, spec, b, ProjectorMode.TESTING)
+            w = np.concatenate([panel.x, z_regressors(panel, spec, b)], axis=2)
+            scores = np.einsum("itp,it->ip", w, fit.residuals)
+            half = np.linalg.solve(fit.design_gram, scores.T @ scores)
+            return np.concatenate([fit.beta, fit.delta]), np.linalg.solve(fit.design_gram, half.T).T
+
+        def outcome(func, *args):
+            try:
+                return func(*args), None
+            except StatisticalError as err:
+                return None, (type(err), str(err))
+
+        cases = [(panel, spec) for panel, spec, _ in acceptance_01_cases()]
+        cases.append(exact_break_panel(rng, n=10, t=20, b0=10))
+        compared = 0
+        for panel, spec in cases:
+            profile, err = outcome(estimate_breakpoint, panel, spec)
+            if err is not None:
+                continue
+            got, got_err = outcome(estimate_theta, panel, spec, profile.b_hat)
+            want, want_err = outcome(reference, panel, spec, profile.b_hat)
+            assert got_err == want_err
+            if want_err is None:
+                for g, w in zip(got, want):
+                    assert np.linalg.norm(g - w) <= 1e-10 * np.linalg.norm(w), (g, w)
+                compared += 1
+        assert compared >= 50
+
 
 class TestFitBreak:
     def test_pipeline_consistency(self, rng):
@@ -303,6 +337,22 @@ class TestFitBreak:
         assert fit.theta_hat[-1] == pytest.approx(2.0, abs=0.1)
         assert fit.ssr_profile.b_hat == fit.b_hat
 
+
+
+def test_estimate_breakpoint_makes_no_argmin_fit(rng, monkeypatch):
+    # Only fit_break and the Monte Carlo runner read the fit at the argmin.
+    x = rng.standard_normal((30, 16, 2))
+    post = np.arange(1, 17) > 7
+    y = x @ np.ones(2) + 0.8 * x[:, :, 1] * post + rng.standard_normal((30, 16))
+    panel, spec = PanelData(y=y, x=x), BreakSpec.from_indices(2, [1])
+
+    def refuse(**kwargs):
+        raise AssertionError("argmin fit built")
+
+    monkeypatch.setattr(estimator, "_ArgminFit", refuse)
+    assert estimate_breakpoint(panel, spec).b_hat == 7
+    with pytest.raises(AssertionError, match="argmin fit built"):
+        fit_break(panel, spec, c_alpha=11.0)
 
 
 class TestCarriedFit:

@@ -148,7 +148,7 @@ def long_rows(draw):
         elif kind == "ragged":
             rows[at] = rows[at][:-1] if draw(st.booleans()) else rows[at] + (0.0,)
         else:
-            col = draw(st.integers(2, len(rows[at]) - 1))
+            col = draw(st.integers(2, max(2, len(rows[at]) - 1)))  # two "ragged" cuts can leave 2 fields
             bad = draw(st.sampled_from([float("nan"), float("inf"), -float("inf")]))
             bad = "oops" if kind == "unreadable" else bad
             rows[at] = rows[at][:col] + (bad,) + rows[at][col + 1 :]

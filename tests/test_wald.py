@@ -1,5 +1,6 @@
 """Wald statistics, HAC covariances and the sequential break search."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -200,6 +201,19 @@ class TestChunking:
         assert one_date == every_date
         # The same dates fall back to the reference fit, inside whole-window chunks.
         assert reference_calls[n_reference:] == reference_calls[:n_reference] != []
+
+
+class TestMemory:
+    @pytest.mark.parametrize("n_units, n_periods, b0", [(100, 240, 80), (5000, 10, 5)])
+    def test_sup_wald_peak_is_a_few_copies_of_the_data(self, n_units, n_periods, b0):
+        panel, _ = generate(DgpConfig(n_units=n_units, n_periods=n_periods, b0=b0, seed=0))
+        tracemalloc.start()
+        try:
+            sup_wald(panel, BreakSpec.from_indices(2, [1]), sw_critical=8.85)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * (panel.y.nbytes + panel.x.nbytes)
 
 
 class TestRankExclusion:
