@@ -1,5 +1,7 @@
 """Structural-break detection, dating and testing for interactive-effects panels."""
 
+__version__ = "0.1.0"  # pyproject.toml reads the package version from here
+
 from .dgp import DgpConfig, DgpTruth, ExperimentReport, generate, run_experiment
 from .estimator import (
     BreakFit,

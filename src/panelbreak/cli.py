@@ -16,11 +16,10 @@ import json
 import os
 import sys
 from dataclasses import fields
-from importlib.metadata import PackageNotFoundError, version
 
 import numpy as np
 
-from . import limits
+from . import __version__, limits
 from .dgp import DgpConfig, run_experiment
 from .estimator import estimate_breakpoint, fit_break
 from .exceptions import InputError, PanelBreakError, StatisticalError
@@ -34,13 +33,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_STATISTICAL = 2
 EXIT_INTERNAL = 3
-
-
-def _package_version() -> str:
-    try:
-        return version("panelbreak")
-    except PackageNotFoundError:
-        return "unknown"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -203,7 +195,7 @@ def _report(args, stages, warnings) -> dict:
     echo = dict(sorted(vars(args).items()))
     return {
         "schema_version": SCHEMA_VERSION,
-        "package_version": _package_version(),
+        "package_version": __version__,
         "config": echo,
         "stages": stages,
         "warnings": warnings,

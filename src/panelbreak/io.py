@@ -11,10 +11,13 @@ from __future__ import annotations
 import csv
 import os
 import tempfile
-from operator import itemgetter
+from array import array
+from itertools import islice
+
+import numpy as np
 
 from .exceptions import InputError, RaggedRow
-from .panel import PanelData, build_panel
+from .panel import PanelData, _assemble_panel
 
 
 def _parse_time(token: str):
@@ -28,17 +31,6 @@ def _parse_time(token: str):
     return int(value) if value.is_integer() else value
 
 
-def _read_rows(path):
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InputError(f"{path}: empty file") from None
-        rows = list(reader)
-    return [h.strip() for h in header], rows
-
-
 def _column_indices(header, names, path):
     indices = []
     for name in names:
@@ -50,26 +42,49 @@ def _column_indices(header, names, path):
     return indices
 
 
-def _parse_rows(path, rows, idx, n_labels):
-    """Tuples of the columns ``idx`` of the non-blank CSV records ``rows``, emptied after.
+_BATCH = 4096  # CSV records converted at a time: the reader never holds more
 
-    The first ``n_labels`` columns are labels, the last of them a time
-    token; the rest are read with Python's ``float``. Columns are converted
-    whole; only on a failure is the file read again record by record, so
-    the error names the line of the file where the first bad record starts.
+
+def _read_columns(path, select, n_labels):
+    """Label columns and an (n, m) float array of the non-blank records of a CSV file.
+
+    ``select(header)`` names the columns to keep: ``n_labels`` labels, the
+    last of them a time token, then the values, read with Python's
+    ``float``. Records are converted a batch at a time, each distinct time
+    token once; only on a failure is the file read again record by record,
+    so the error names the line of the file where the first bad record
+    starts.
     """
-    body = [row for row in rows if row]
-    try:
-        labels = [list(map(itemgetter(i), body)) for i in idx[:n_labels]]
-        values = [list(map(float, map(itemgetter(i), body))) for i in idx[n_labels:]]
-        times = {token: _parse_time(token) for token in set(labels[-1])}  # each distinct token once
-        labels[-1] = [times[token] for token in labels[-1]]
-    except (IndexError, ValueError):
-        _raise_first_bad_record(path, idx, n_labels)
-        raise
-    del body
-    rows.clear()  # the records die before the output tuples are built
-    return list(zip(*labels, *values))
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = [h.strip() for h in next(reader)]
+        except StopIteration:
+            raise InputError(f"{path}: empty file") from None
+        idx = _column_indices(header, select(header), path)
+        labels = [[] for _ in range(n_labels)]
+        values = [array("d") for _ in idx[n_labels:]]
+        times, seen = {}, {}
+        records = filter(None, reader)  # a blank line is no record
+        for batch in iter(lambda: list(islice(records, _BATCH)), []):
+            try:
+                cols = list(zip(*batch))  # as many columns as the shortest record has
+                tokens = cols[idx[n_labels - 1]]
+                times.update((token, _parse_time(token)) for token in set(tokens).difference(times))
+                for out, i in zip(labels, idx[: n_labels - 1]):
+                    out.extend(map(seen.setdefault, cols[i], cols[i]))  # equal labels, one object
+                labels[-1].extend(map(times.__getitem__, tokens))
+                for out, i in zip(values, idx[n_labels:]):
+                    out.extend(map(float, cols[i]))
+            except (IndexError, ValueError):
+                for _ in reader:  # an error reading the rest of the file comes first
+                    pass
+                _raise_first_bad_record(path, idx, n_labels)
+                raise
+    table = np.empty((len(labels[0]), len(values)))
+    for column, v in zip(table.T, values):
+        column[:] = v
+    return labels, table
 
 
 def _raise_first_bad_record(path, idx, n_labels):
@@ -90,18 +105,22 @@ def _raise_first_bad_record(path, idx, n_labels):
                 raise InputError(f"{path}:{lineno}: {err}") from None
 
 
+def _panel_columns(path, y: str, x_names):
+    return _read_columns(path, lambda header: ["unit", "time", y, *x_names], 2)
+
+
+def _rows(labels, table):
+    return list(zip(*labels, *table.T.tolist()))
+
+
 def read_panel_rows(path, y: str, x_names):
     """Read long-format observation rows (unit, time, y, x...)."""
-    header, rows = _read_rows(path)
-    idx = _column_indices(header, ["unit", "time", y, *x_names], path)
-    return _parse_rows(path, rows, idx, n_labels=2)
+    return _rows(*_panel_columns(path, y, x_names))
 
 
 def read_common_rows(path):
     """Read common-regressor rows (time, d...); every column but ``time`` is a regressor."""
-    header, rows = _read_rows(path)
-    idx = _column_indices(header, ["time", *(h for h in header if h != "time")], path)
-    return _parse_rows(path, rows, idx, n_labels=1)
+    return _rows(*_read_columns(path, lambda header: ["time", *(h for h in header if h != "time")], 1))
 
 
 def write_panel_csv(panel: PanelData, path, y: str = "y", x_names=None) -> None:
@@ -145,9 +164,9 @@ def load_panel(
     common_path=None,
     intercept: bool = True,
 ) -> PanelData:
-    raw = read_panel_rows(panel_path, y, x_names)
+    (units, times), table = _panel_columns(panel_path, y, x_names)
     common = read_common_rows(common_path) if common_path else None
-    return build_panel(raw, common_rows=common, intercept=intercept)
+    return _assemble_panel(units, times, table, common, intercept)
 
 
 def read_keyvalue_config(path) -> dict:

@@ -165,14 +165,21 @@ def _coerce_time_order(labels):
         return sorted(labels, key=str)
 
 
-def _first_unconvertible(rows) -> int:
-    """Index of the first row whose values numpy cannot read as floats."""
+def _check_shape(n_rows: int, width: int) -> None:
+    if not n_rows:
+        raise InputError("no observations supplied")
+    if width < 4:
+        raise RaggedRow("rows need at least (unit, time, y, x1)")
+
+
+def _first_unconvertible(rows):
+    """Index of the first row whose values numpy cannot read as floats, and its error."""
     for i, row in enumerate(rows):
         try:
             np.asarray(row[2:], dtype=float)
-        except (ValueError, TypeError):
-            return i
-    return len(rows)
+        except (ValueError, TypeError) as err:
+            return i, err
+    return len(rows), None
 
 
 def build_panel(raw_rows, common_rows=None, intercept: bool = False) -> PanelData:
@@ -194,52 +201,60 @@ def build_panel(raw_rows, common_rows=None, intercept: bool = False) -> PanelDat
     passes, UnbalancedPanel names the first missing cell in sorted order.
     """
     rows = [tuple(row) for row in raw_rows]
-    if not rows:
-        raise InputError("no observations supplied")
-    width = len(rows[0])
-    if width < 4:
-        raise RaggedRow("rows need at least (unit, time, y, x1)")
+    width = len(rows[0]) if rows else 0
+    _check_shape(len(rows), width)
     # Rows from the first ragged one on are never looked at.
     ragged = next((i for i, row in enumerate(rows) if len(row) != width), len(rows))
     head = rows[:ragged]
+    try:
+        values, pending = np.array([row[2:] for row in head], dtype=float), None
+    except (ValueError, TypeError):
+        unreadable, pending = _first_unconvertible(head)
+        values = np.array([row[2:] for row in head[:unreadable]], dtype=float).reshape(unreadable, width - 2)
+    if pending is None and ragged < len(rows):
+        row = rows[ragged]
+        pending = RaggedRow(f"row {row[:2]} has {len(row)} fields, expected {width}")
+    units, times = ([row[c] for row in head] for c in (0, 1))
+    return _assemble_panel(units, times, values, common_rows, intercept, pending)
+
+
+def _assemble_panel(units, times, values, common_rows=None, intercept=False, pending=None) -> PanelData:
+    """The panel of label columns ``units``, ``times`` and a (rows, 1+k) ``values`` array.
+
+    ``pending`` is the error of row ``len(values)``, which a duplicate up to
+    that row or a non-finite value before it outranks; ``units`` and
+    ``times`` may run on past it. Precedence is ``build_panel``'s.
+    """
+    _check_shape(len(units), 2 + values.shape[1])
     # Labels coded in first-seen order; equal labels share a code.
-    unit_code: dict = {}
-    time_code: dict = {}
-    ucodes = np.array([unit_code.setdefault(row[0], len(unit_code)) for row in head], dtype=np.intp)
-    tcodes = np.array([time_code.setdefault(row[1], len(time_code)) for row in head], dtype=np.intp)
+    unit_code = {unit: j for j, unit in enumerate(dict.fromkeys(units))}
+    time_code = {time: j for j, time in enumerate(dict.fromkeys(times))}
+    ucodes = np.fromiter(map(unit_code.__getitem__, units), np.intp, len(units))
+    tcodes = np.fromiter(map(time_code.__getitem__, times), np.intp, len(times))
     keys = ucodes * len(time_code) + tcodes
     order = np.argsort(keys, kind="stable")
     repeats = order[1:][keys[order[1:]] == keys[order[:-1]]]
-    duplicate = int(repeats.min()) if repeats.size else len(head)
-    try:
-        values = np.array([row[2:] for row in head], dtype=float)
-        unreadable = len(head)
-    except (ValueError, TypeError):
-        unreadable = _first_unconvertible(head)
-        values = np.array([row[2:] for row in head[:unreadable]], dtype=float).reshape(unreadable, width - 2)
+    duplicate = int(repeats.min()) if repeats.size else len(units)
     nonfinite = np.flatnonzero(~np.isfinite(values).all(axis=1))
-    bad_value = min(int(nonfinite[0]) if nonfinite.size else len(head), unreadable)
-    first = min(ragged, duplicate, bad_value)
-    if first < len(rows):
-        row = rows[first]
-        if first == ragged:
-            raise RaggedRow(f"row {row[:2]} has {len(row)} fields, expected {width}")
-        if first == duplicate:
-            raise DuplicateObservation(f"duplicate observation for {row[:2]}")
-        np.asarray(row[2:], dtype=float)  # re-raises the error of an unreadable row
-        raise NonFiniteValue(f"non-finite value at {row[:2]}")
-    units = sorted(unit_code, key=lambda u: (str(type(u)), str(u)))
-    times = _coerce_time_order(time_code)
-    n_units, n_periods = len(units), len(times)
+    bad_value = int(nonfinite[0]) if nonfinite.size else len(values)
+    if duplicate <= bad_value and duplicate < len(units):
+        raise DuplicateObservation(f"duplicate observation for {(units[duplicate], times[duplicate])}")
+    if bad_value < len(values):
+        raise NonFiniteValue(f"non-finite value at {(units[bad_value], times[bad_value])}")
+    if pending is not None:
+        raise pending
+    units_sorted = sorted(unit_code, key=lambda u: (str(type(u)), str(u)))
+    times_sorted = _coerce_time_order(time_code)
+    n_units, n_periods = len(units_sorted), len(times_sorted)
     # Sorted position of each first-seen code: the inverse permutation.
-    unit_rank = np.argsort([unit_code[u] for u in units])
-    time_rank = np.argsort([time_code[t] for t in times])
+    unit_rank = np.argsort([unit_code[u] for u in units_sorted])
+    time_rank = np.argsort([time_code[t] for t in times_sorted])
     grid = np.full((n_units, n_periods), -1, dtype=np.intp)
-    grid[unit_rank[ucodes], time_rank[tcodes]] = np.arange(len(rows))
+    grid[unit_rank[ucodes], time_rank[tcodes]] = np.arange(len(units))
     gaps = np.flatnonzero(grid < 0)
     if gaps.size:
         i, t = divmod(int(gaps[0]), n_periods)
-        raise UnbalancedPanel(f"missing observation for {(units[i], times[t])}")
+        raise UnbalancedPanel(f"missing observation for {(units_sorted[i], times_sorted[t])}")
     y, x = values[grid, 0], values[grid, 1:]
     d = None
     if common_rows is not None:
@@ -258,17 +273,17 @@ def build_panel(raw_rows, common_rows=None, intercept: bool = False) -> PanelDat
             if not np.all(np.isfinite(vals)):
                 raise NonFiniteValue(f"non-finite common regressor at time {time}")
             common[time] = vals
-        missing = [t for t in times if t not in common]
+        missing = [t for t in times_sorted if t not in common]
         if missing:
             raise UnbalancedPanel(f"common rows missing times {missing[:5]}")
         extra = [t for t in common if t not in time_code]
         if extra:
             raise UnbalancedPanel(f"common rows cover unknown times {extra[:5]}")
-        d = np.vstack([common[t] for t in times]) if cwidth > 1 else None
+        d = np.vstack([common[t] for t in times_sorted]) if cwidth > 1 else None
     if intercept:
         ones = np.ones((n_periods, 1))
         d = ones if d is None else np.hstack([ones, d])
-    return PanelData(y=y, x=x, d=d, unit_labels=tuple(units), time_labels=tuple(times))
+    return PanelData(y=y, x=x, d=d, unit_labels=tuple(units_sorted), time_labels=tuple(times_sorted))
 
 
 def post_break_mask(n_periods: int, b: int) -> np.ndarray:

@@ -4,10 +4,15 @@ The oracles deliberately use a different computational route than the
 package: dense T x T annihilators built from pseudoinverses, and
 normal equations solved with explicit inverses. Slow and numerically
 naive, but independent. ``reference_build_panel`` is the row-at-a-time
-panel assembly that ``build_panel`` must match outcome for outcome, and
+panel assembly that ``build_panel`` must match outcome for outcome,
+``reference_read_rows`` the record-at-a-time CSV reader that the
+streaming reader of ``load_panel`` must match, and
 ``simulated_argmax_quantiles`` simulates the law that
 ``argmax_quantile`` inverts in closed form.
 """
+
+import csv
+import math
 
 import numpy as np
 import pytest
@@ -102,6 +107,16 @@ def exact_tie_panel(rng):
     return PanelData(y=y, x=x), BreakSpec.from_indices(2, [1])
 
 
+def zero_tail_panel():
+    """The breaking regressor is zero after period 8, so Z(b) is all zero for b >= 8:
+    its Gram and its data scale are both zero there."""
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((20, 12, 2))
+    x[:, 8:, 1] = 0.0
+    y = x @ np.ones(2) + 0.1 * rng.standard_normal((20, 12))
+    return PanelData(y=y, x=x), BreakSpec.from_indices(2, [1], trim_fraction=0.15)
+
+
 def reference_build_panel(raw_rows, common_rows=None, intercept=False):
     """One row at a time: the first offending row raises, then the grid fills cell by cell."""
     rows = [tuple(row) for row in raw_rows]
@@ -167,6 +182,57 @@ def reference_build_panel(raw_rows, common_rows=None, intercept=False):
         ones = np.ones((n_periods, 1))
         d = ones if d is None else np.hstack([ones, d])
     return PanelData(y=y, x=x, d=d, unit_labels=tuple(units), time_labels=tuple(times))
+
+
+def reference_time_label(token):
+    """A time token as a label: a number when it reads as one (integral ones as int), else the text."""
+    try:
+        value = float(token)
+    except ValueError:
+        return token
+    if math.isnan(value):
+        raise ValueError(f"time label {token!r} is not a number")
+    return int(value) if math.isfinite(value) and value == math.floor(value) else value
+
+
+def reference_read_rows(path, labels, values=None):
+    """(label..., value...) tuples of the named columns, one CSV record at a time.
+
+    The last of ``labels`` holds time tokens; ``values`` defaults to every
+    other column of the header. A blank line is no record; the first bad
+    record raises, naming the file line where it starts.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = [name.strip() for name in next(reader)]
+        except StopIteration:
+            raise InputError(f"{path}: empty file") from None
+        if values is None:
+            values = [name for name in header if name not in labels]
+        names = [*labels, *values]
+        for name in names:
+            if name not in header:
+                raise InputError(f"{path}: column {name!r} not found in {header}")
+            if names.count(name) + header.count(name) > 2:
+                raise InputError(f"{path}: column {name!r} is named more than once")
+        idx = [header.index(name) for name in names]
+        rows = []
+        first_line = reader.line_num + 1
+        for record in reader:
+            line, first_line = first_line, reader.line_num + 1
+            if not record:
+                continue
+            if len(record) <= max(idx):
+                raise RaggedRow(f"{path}:{line}: row has {len(record)} fields")
+            fields = [record[i] for i in idx]
+            try:
+                time = reference_time_label(fields[len(labels) - 1])
+                numbers = [float(field) for field in fields[len(labels) :]]
+            except ValueError as err:
+                raise InputError(f"{path}:{line}: {err}") from None
+            rows.append((*fields[: len(labels) - 1], time, *numbers))
+    return rows
 
 
 def simulated_argmax_quantiles(

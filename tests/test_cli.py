@@ -8,10 +8,13 @@ import sys
 import numpy as np
 import pytest
 
+import panelbreak
 from panelbreak import DgpConfig, PanelData, SimConfig, generate, limits
 from panelbreak.cli import EXIT_OK, EXIT_STATISTICAL, EXIT_USAGE, main
 from panelbreak.exceptions import InputError
 from panelbreak.io import write_panel_csv
+
+from conftest import zero_tail_panel
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +125,14 @@ class TestDetect:
         assert code == EXIT_OK
         assert sorted(br["fit"]["b_hat"]["index"] for br in report["stages"]["breaks"]) == [80, 160]
         assert cce_fit_calls == []
+
+    def test_ingest_shaped_panel_makes_no_reference_fit(self, capsys, tmp_path, cce_fit_calls):
+        # Large N, T = 10: the rank failures of both T = 5 sub-windows are decided by the engine.
+        path = tmp_path / "wide.csv"
+        write_panel_csv(generate(DgpConfig(n_units=200, n_periods=10, b0=5, seed=0))[0], path)
+        code, report = run_json(capsys, ["detect", *base_args(str(path))])
+        assert code == EXIT_OK and [b["fit"]["b_hat"]["index"] for b in report["stages"]["breaks"]] == [5]
+        assert cce_fit_calls == []  # not even at b = 2 and 3 of each window, where M_{Q_b} X is zero
 
     def test_text_format(self, capsys, null_csv):
         code = main(["detect", *base_args(null_csv), "--format", "text"])
@@ -366,6 +377,37 @@ class TestFailureModes:
         code = main(["detect", *base_args(str(path))])
         capsys.readouterr()
         assert code == EXIT_STATISTICAL
+
+    def test_all_zero_break_regressor_gram_exits_statistical(self, capsys, tmp_path):
+        # x2 is zero after period 8, so Z(b) is all zero for b >= 8.
+        path = tmp_path / "zero.csv"
+        write_panel_csv(zero_tail_panel()[0], path)
+        assert main(["estimate", *base_args(str(path))]) == EXIT_STATISTICAL
+        assert "rank 0 < r=1 at b=8" in capsys.readouterr().err
+
+
+def test_report_names_the_package_version(capsys, null_csv):
+    code, report = run_json(capsys, ["test", *base_args(null_csv)])
+    assert code == EXIT_OK and report["package_version"] == panelbreak.__version__
+
+
+def test_pyproject_takes_the_version_from_the_package():
+    tomllib = pytest.importorskip("tomllib")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), "rb") as handle:
+        project = tomllib.load(handle)
+    assert "version" not in project["project"] and "version" in project["project"]["dynamic"]
+    assert project["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "panelbreak.__version__"}
+
+
+def test_cli_import_leaves_out_package_metadata():
+    # The version comes from panelbreak.__version__, not importlib.metadata.
+    src = os.path.dirname(os.path.dirname(panelbreak.__file__))
+    code = "import sys, panelbreak.cli; print('importlib.metadata' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_cli_import_skips_heavy_scipy_modules(tmp_path, break_csv):

@@ -22,13 +22,14 @@ from panelbreak import (
 )
 from panelbreak.exceptions import (
     RankConditionFailure,
+    RankDeficientDesign,
     SingularCovariance,
     StatisticalError,
 )
 from panelbreak.panel import estimation_candidates
 from panelbreak.panel import testing_candidates as trimmed_candidates
 
-from conftest import exact_break_panel, random_panel
+from conftest import exact_break_panel, random_panel, zero_tail_panel
 
 REL_TOL = 1e-8
 HAC_CONFIGS = (
@@ -192,6 +193,14 @@ class TestAdversarialPanels:
         assert profile.ssr_values[2:8] == tuple(ssr_at(panel, spec, b) for b in range(3, 9))
         assert len(set(profile.ssr_values[2:8])) == 1
 
+    def test_breaking_regressor_zero_after_a_date(self):
+        # An all-zero Gram is no safe Gram: those dates go to the reference fits.
+        panel, spec = zero_tail_panel()
+        assert assert_sup_wald_matches(panel, spec).excluded_dates == (1, 7, 8, 9, 10)
+        assert_profile_matches(panel, spec)
+        _, err = outcome(estimate_breakpoint, panel, spec)
+        assert err == (RankDeficientDesign, "partialled break regressors have rank 0 < r=1 at b=8")
+        assert outcome(fit_break, panel, spec, c_alpha=11.0)[1] == err
 
     def test_strong_factors(self):
         # Factors that explain almost all of y and X: F(b)'F(b) - (Q_b'F)'(Q_b'F)

@@ -1,11 +1,17 @@
 """CSV ingestion and emission."""
 
+import csv
+import io as text_io
 import math
 import os
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from panelbreak import io
 from panelbreak.exceptions import InputError, RaggedRow
 from panelbreak.io import (
     load_panel,
@@ -16,7 +22,7 @@ from panelbreak.io import (
     write_text_atomic,
 )
 
-from conftest import random_panel
+from conftest import random_panel, reference_build_panel, reference_read_rows
 
 
 def write_csv(path, lines):
@@ -169,6 +175,119 @@ class TestReadPanel:
         )
         assert panel.d.shape == (2, 2)  # intercept + trend
         assert panel.d[1, 1] == 1.0
+
+
+# Equal periods spelled differently, a non-numeric one, and NaN (a defect).
+PERIODS = {1: ("1", "1.0"), 2: ("2", "2.00", " 2"), 3: ("3", "3e0"), 4.5: ("4.5",), "q": ("q",)}
+UNITS = st.text("ab7 ,\"\n", min_size=1, max_size=3)
+NUMBERS = st.floats(-1e3, 1e3).map(repr)
+PANEL_DEFECTS = ("ragged", "bad float", "nan time", "duplicate", "missing", "non-finite")
+
+
+def csv_text(draw, header, records):
+    """CSV text of ``records`` under ``header``: quoting, line ends, blank lines and a BOM drawn."""
+    out = text_io.StringIO()
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    writer = csv.writer(out, lineterminator=end, quoting=draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL])))
+    writer.writerow(header)
+    for record in records:
+        if draw(st.integers(0, 5)) == 0:
+            out.write(end)  # a blank line
+        writer.writerow(record)
+    return draw(st.sampled_from(["", "\ufeff"])) + out.getvalue()
+
+
+@st.composite
+def panel_files(draw):
+    """The text of a long-format CSV with up to three defects, and of an optional common file."""
+    units = draw(st.lists(UNITS, min_size=2, max_size=3, unique=True))
+    periods = draw(st.lists(st.sampled_from(sorted(PERIODS, key=str)), min_size=2, max_size=4, unique=True))
+    x_names = ["x1", "x2"][: draw(st.integers(1, 2))]
+    header = draw(st.permutations(["unit", "time", "y", *x_names, "note"]))
+    records = []
+    for unit in units:
+        for period in periods:
+            fields = {"unit": unit, "time": draw(st.sampled_from(PERIODS[period])), "note": "-"}
+            fields.update((name, draw(NUMBERS)) for name in ["y", *x_names])
+            records.append([fields[name] for name in header] + ["extra"] * draw(st.integers(0, 1)))
+    records = draw(st.permutations(records))
+    for kind in draw(st.lists(st.sampled_from(PANEL_DEFECTS), max_size=3)):
+        at = draw(st.integers(0, len(records) - 1))
+        record = list(records[at])
+        column = header.index(draw(st.sampled_from(["y", *x_names])))
+        if kind == "ragged":
+            record = record[: draw(st.integers(1, len(header) - 1))]
+        elif kind == "duplicate":
+            records.insert(draw(st.integers(0, len(records))), record)
+        elif kind == "missing":
+            del records[at]
+            continue
+        elif kind == "nan time":
+            if header.index("time") < len(record):  # a ragged cut may have taken it
+                record[header.index("time")] = draw(st.sampled_from(["nan", "NaN"]))
+        elif column < len(record):
+            record[column] = "oops" if kind == "bad float" else draw(st.sampled_from(["nan", "inf", "-inf"]))
+        records[at] = record
+    common = None
+    if draw(st.booleans()):
+        d_names = ["d1", "d2"][: draw(st.integers(0, 2))]
+        rows = [[draw(st.sampled_from(PERIODS[period])), *(draw(NUMBERS) for _ in d_names)] for period in periods]
+        if draw(st.booleans()):
+            rows.append(draw(st.sampled_from([rows[0], ["9", *("0" for _ in d_names)], ["1"] * (len(d_names) + 2)])))
+        if d_names and draw(st.booleans()):
+            rows[0][1] = draw(st.sampled_from(["oops", "inf"]))
+        common = csv_text(draw, ["time", *d_names], draw(st.permutations(rows)))
+    return csv_text(draw, header, records), x_names, common, draw(st.booleans())
+
+
+def outcome(read):
+    """What a caller can observe: the arrays and labels, or the error."""
+    try:
+        panel = read()
+    except Exception as err:  # the error class and text are the outcome
+        return type(err).__name__, str(err)
+    d = None if panel.d is None else (panel.d.shape, panel.d.tobytes())
+    labels = repr((panel.unit_labels, panel.time_labels))
+    return panel.y.shape, panel.y.tobytes(), panel.x.shape, panel.x.tobytes(), d, labels
+
+
+@pytest.fixture(scope="module")
+def folder(tmp_path_factory):
+    return tmp_path_factory.mktemp("stream")
+
+
+class TestStreamingReader:
+    """``load_panel`` against the record-at-a-time reader and row-at-a-time builder in conftest."""
+
+    @pytest.mark.parametrize("batch", [io._BATCH, 2])
+    @given(case=panel_files())
+    @settings(max_examples=300, deadline=None)
+    def test_same_outcome_as_reference(self, folder, batch, case):
+        text, x_names, common_text, intercept = case
+        path, common_path = folder / "p.csv", (folder / "d.csv" if common_text is not None else None)
+        path.write_text(text, encoding="utf-8", newline="")
+        if common_path is not None:
+            common_path.write_text(common_text, encoding="utf-8", newline="")
+
+        def reference():
+            rows = reference_read_rows(path, ["unit", "time"], ["y", *x_names])
+            common = reference_read_rows(common_path, ["time"]) if common_path else None
+            return reference_build_panel(rows, common_rows=common, intercept=intercept)
+
+        with mock.patch.object(io, "_BATCH", batch):  # records straddle batch edges at 2
+            got = outcome(lambda: load_panel(path, "y", x_names, common_path=common_path, intercept=intercept))
+        assert got == outcome(reference)
+
+    def test_peak_memory_is_a_few_times_the_file(self, rng, tmp_path):
+        path = tmp_path / "p.csv"
+        write_panel_csv(random_panel(rng, n=5000, t=10, k=2), path)
+        tracemalloc.start()
+        try:
+            load_panel(path, "y", ["x1", "x2"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * path.stat().st_size
 
 
 class TestRoundTrip:
