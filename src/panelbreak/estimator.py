@@ -262,15 +262,15 @@ def _estimation_profile(panel: PanelData, spec: BreakSpec, with_fit: bool = True
     return result, _ArgminFit(delta=delta, residuals=ry - rz @ delta)
 
 
-def _clear_rank(matrix: np.ndarray, data_scale: float):
-    """The rank ``cce_fit`` gives ``matrix``, or None when rounding could change it.
+def _clear_rank(rz: np.ndarray, data_scale: float):
+    """The rank ``cce_fit`` gives ``rz``, or None when rounding could change it.
 
-    The engine's M_X̃ Z̃(b) or M_{Q_b} X and ``cce_fit``'s differ by
-    rounding, so a singular value within a factor of 10 of ``cce_fit``'s
-    cutoff leaves the rank to ``cce_fit``.
+    The engine's M_X̃ Z̃(b) and ``cce_fit``'s differ by rounding, so a
+    singular value within a factor of 10 of ``cce_fit``'s cutoff leaves
+    the rank to ``cce_fit``.
     """
-    cutoff = _rank_cutoff(matrix.shape, data_scale)
-    s = np.linalg.svd(matrix, compute_uv=False)
+    cutoff = _rank_cutoff(rz.shape, data_scale)
+    s = np.linalg.svd(rz, compute_uv=False)
     if np.any((s >= 0.1 * cutoff) & (s <= 10.0 * cutoff)):
         return None
     return int(np.sum(s > cutoff))
@@ -319,8 +319,8 @@ class TestingProfile:
     residual and M_X̃ Z̃(b) are then W'F(b) - Q_b (Q_b'F W) for the fitted
     weights W; no date projects the data. A date that a guard rejects, or
     whose Gram lost digits to the subtraction, is left out of the stack for
-    ``cce_fit`` to decide, unless its M_{Q_b} X (where the X̃ guard failed)
-    or its M_X̃ Z̃(b) is rank-deficient beyond doubt (``_clear_rank``).
+    ``cce_fit`` to decide, unless its M_X̃ Z̃(b) is rank-deficient beyond
+    doubt (``_clear_rank``).
     """
 
     def __init__(self, panel: PanelData, spec: BreakSpec):
@@ -381,17 +381,11 @@ class TestingProfile:
         ssr = (resid[:, None, :] @ resid[:, :, None])[:, 0, 0]
         ok &= ssr > _GUARD_FLOOR * gram[:, 0, 0]
         excluded = {}
-        for j in np.flatnonzero(~(x_ok & z_ok)):
-            b = int(dates[j])
-            if x_ok[j]:
-                rank, need = _clear_rank(rz[j], math.sqrt(self._z_ss[b])), rz.shape[1]
-                what = f"partialled break regressors have rank {rank} < r={need}"
-            else:  # M_{Q_b} X, made explicit
-                xt = data[xs] - q[j] @ qf[j, xs].reshape(k, -1, n)
-                rank, need = _clear_rank(xt.reshape(k, -1), math.sqrt(self._x_ss)), k
-                what = f"projected regressors have rank {rank} < k={k}"
-            if rank is not None and rank < need:
-                excluded[b] = f"{what} at b={b}"
+        for j in np.flatnonzero(x_ok & ~z_ok):
+            b, r = int(dates[j]), rz.shape[1]
+            rank = _clear_rank(rz[j], math.sqrt(self._z_ss[b]))
+            if rank is not None and rank < r:
+                excluded[b] = f"partialled break regressors have rank {rank} < r={r} at b={b}"
         keep = slice(None) if ok.all() else np.flatnonzero(ok)
         return FitStack(
             dates=tuple(dates[keep].tolist()),

@@ -12,6 +12,8 @@ import csv
 import os
 import tempfile
 from array import array
+from collections.abc import Sequence
+from functools import cached_property
 from itertools import islice
 
 import numpy as np
@@ -105,22 +107,35 @@ def _raise_first_bad_record(path, idx, n_labels):
                 raise InputError(f"{path}:{lineno}: {err}") from None
 
 
-def _panel_columns(path, y: str, x_names):
-    return _read_columns(path, lambda header: ["unit", "time", y, *x_names], 2)
+class _RowView(Sequence):
+    """Read-only rows (label..., value...) of the reader's columns.
 
+    The row tuples are made on first access, so ``load_panel``, which
+    takes the columns, never makes them.
+    """
 
-def _rows(labels, table):
-    return list(zip(*labels, *table.T.tolist()))
+    def __init__(self, labels, table):
+        self.labels, self.table = labels, table
+
+    def __len__(self):
+        return len(self.table)
+
+    def __getitem__(self, i):
+        return self._rows[i]
+
+    @cached_property
+    def _rows(self):
+        return list(zip(*self.labels, *self.table.T.tolist()))
 
 
 def read_panel_rows(path, y: str, x_names):
-    """Read long-format observation rows (unit, time, y, x...)."""
-    return _rows(*_panel_columns(path, y, x_names))
+    """Read long-format observation rows (unit, time, y, x...) as a read-only sequence."""
+    return _RowView(*_read_columns(path, lambda header: ["unit", "time", y, *x_names], 2))
 
 
 def read_common_rows(path):
     """Read common-regressor rows (time, d...); every column but ``time`` is a regressor."""
-    return _rows(*_read_columns(path, lambda header: ["time", *(h for h in header if h != "time")], 1))
+    return list(_RowView(*_read_columns(path, lambda header: ["time", *(h for h in header if h != "time")], 1)))
 
 
 def write_panel_csv(panel: PanelData, path, y: str = "y", x_names=None) -> None:
@@ -164,9 +179,9 @@ def load_panel(
     common_path=None,
     intercept: bool = True,
 ) -> PanelData:
-    (units, times), table = _panel_columns(panel_path, y, x_names)
+    rows = read_panel_rows(panel_path, y, x_names)
     common = read_common_rows(common_path) if common_path else None
-    return _assemble_panel(units, times, table, common, intercept)
+    return _assemble_panel(*rows.labels, rows.table, common, intercept)
 
 
 def read_keyvalue_config(path) -> dict:

@@ -223,7 +223,10 @@ def _assemble_panel(units, times, values, common_rows=None, intercept=False, pen
 
     ``pending`` is the error of row ``len(values)``, which a duplicate up to
     that row or a non-finite value before it outranks; ``units`` and
-    ``times`` may run on past it. Precedence is ``build_panel``'s.
+    ``times`` may run on past it. Precedence is ``build_panel``'s. Only
+    ``build_panel`` has such an error (a ragged or unreadable row); the
+    scans that outrank it are this builder's, so it is passed in here
+    rather than a second copy of them kept in ``build_panel``.
     """
     _check_shape(len(units), 2 + values.shape[1])
     # Labels coded in first-seen order; equal labels share a code.

@@ -126,14 +126,6 @@ class TestDetect:
         assert sorted(br["fit"]["b_hat"]["index"] for br in report["stages"]["breaks"]) == [80, 160]
         assert cce_fit_calls == []
 
-    def test_ingest_shaped_panel_makes_no_reference_fit(self, capsys, tmp_path, cce_fit_calls):
-        # Large N, T = 10: the rank failures of both T = 5 sub-windows are decided by the engine.
-        path = tmp_path / "wide.csv"
-        write_panel_csv(generate(DgpConfig(n_units=200, n_periods=10, b0=5, seed=0))[0], path)
-        code, report = run_json(capsys, ["detect", *base_args(str(path))])
-        assert code == EXIT_OK and [b["fit"]["b_hat"]["index"] for b in report["stages"]["breaks"]] == [5]
-        assert cce_fit_calls == []  # not even at b = 2 and 3 of each window, where M_{Q_b} X is zero
-
     def test_text_format(self, capsys, null_csv):
         code = main(["detect", *base_args(null_csv), "--format", "text"])
         out = capsys.readouterr().out

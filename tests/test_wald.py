@@ -262,29 +262,6 @@ class TestRankExclusion:
             undecided += decisions.count(None)
         assert excluded_alone > 0 and undecided > 0
 
-    def test_projected_regressor_rank_decided_without_reference_fit(self, cce_fit_calls):
-        # A T = 5 sub-window of the ingest design: at b = 2 and 3 the TESTING
-        # proxies D, D(b), X̄ and X̄R(b) span all five periods, so M_{Q_b} X is
-        # zero; at b = 1, M_X̃ Z̃(1) is.
-        config = DgpConfig(n_units=200, n_periods=10, b0=5, seed=0)
-        whole = generate(config)[0]
-        spec = config.break_spec()
-        for window in (slice(0, 5), slice(5, 10)):
-            panel = PanelData(y=whole.y[:, window], x=whole.x[:, window], d=np.ones((5, 1)))
-            excluded = {}
-            for fits in estimator.TestingProfile(panel, spec).fits(trimmed_candidates(spec, 5)):
-                excluded.update(fits.excluded)
-            with pytest.raises(RankConditionFailure, match="every candidate failed the rank condition: projected"):
-                sup_wald(panel, spec, sw_critical=5.0)
-            assert cce_fit_calls == []
-            assert excluded[2] == "projected regressors have rank 0 < k=2 at b=2"
-            assert sorted(excluded) == [1, 2, 3]
-            for b, message in excluded.items():
-                with pytest.raises(RankConditionFailure) as err:
-                    wald_at(panel, spec, b)
-                assert str(err.value) == message
-            cce_fit_calls.clear()
-
     def test_benchmark_design_excludes_b1_without_reference_fit(self, cce_fit_calls):
         config = DgpConfig(n_units=200, n_periods=10, b0=5, delta=(0.35,), seed=0)
         result = sup_wald(generate(config)[0], config.break_spec())
