@@ -8,13 +8,14 @@ decimals, IEEE doubles.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import os
 import tempfile
+import warnings
 from array import array
 from collections.abc import Sequence
 from functools import cached_property
-from itertools import islice
 
 import numpy as np
 
@@ -44,67 +45,95 @@ def _column_indices(header, names, path):
     return indices
 
 
-_BATCH = 4096  # CSV records converted at a time: the reader never holds more
+_BATCH = 4096  # records numpy parses at a time; loadtxt preallocates this many rows
+# U+001C-U+001F, which numpy strips around a number and float() refuses; in
+# UTF-8 these bytes encode nothing else.
+_SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
 def _read_columns(path, select, n_labels):
     """Label columns and an (n, m) float array of the non-blank records of a CSV file.
 
     ``select(header)`` names the columns to keep: ``n_labels`` labels, the
-    last of them a time token, then the values, read with Python's
-    ``float``. Records are converted a batch at a time, each distinct time
-    token once; only on a failure is the file read again record by record,
-    so the error names the line of the file where the first bad record
-    starts.
+    last of them a time token, then the values, read as Python's ``float``
+    reads them. numpy's tokenizer parses the records ``_BATCH`` at a time,
+    each distinct label once. A file it might read otherwise than ``csv``
+    and ``float`` do is read again by ``_read_records``, which also names
+    the file line of the first bad record.
     """
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise InputError(f"{path}: empty file") from None
-        idx = _column_indices(header, select(header), path)
-        labels = [[] for _ in range(n_labels)]
-        values = [array("d") for _ in idx[n_labels:]]
-        times, seen = {}, {}
-        records = filter(None, reader)  # a blank line is no record
-        for batch in iter(lambda: list(islice(records, _BATCH)), []):
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as handle, open(path, "rb") as raw:
+            reader = csv.reader(handle)
             try:
-                cols = list(zip(*batch))  # as many columns as the shortest record has
-                tokens = cols[idx[n_labels - 1]]
-                times.update((token, _parse_time(token)) for token in set(tokens).difference(times))
-                for out, i in zip(labels, idx[: n_labels - 1]):
-                    out.extend(map(seen.setdefault, cols[i], cols[i]))  # equal labels, one object
-                labels[-1].extend(map(times.__getitem__, tokens))
-                for out, i in zip(values, idx[n_labels:]):
-                    out.extend(map(float, cols[i]))
-            except (IndexError, ValueError):
-                for _ in reader:  # an error reading the rest of the file comes first
-                    pass
-                _raise_first_bad_record(path, idx, n_labels)
-                raise
-    table = np.empty((len(labels[0]), len(values)))
-    for column, v in zip(table.T, values):
-        column[:] = v
-    return labels, table
+                header = [h.strip() for h in next(reader)]
+            except StopIteration:
+                raise InputError(f"{path}: empty file") from None
+            except csv.Error as err:
+                raise InputError(f"{path}:1: {err}") from None
+            idx = _column_indices(header, select(header), path)
+            # 64 KiB blocks stay under malloc's mmap threshold; 1 MiB ones add ~0.7 MB to ingest's peak RSS.
+            chunks = iter(lambda: raw.read(1 << 16), b"")
+            if not any(sep in chunk for chunk in chunks for sep in _SEPARATORS):
+                with contextlib.suppress(ValueError):  # then read it again, record by record
+                    return _parse_batches(handle, idx, n_labels)
+        return _read_records(path, idx, n_labels)
+    except UnicodeDecodeError as err:
+        raise InputError(f"{path}: not UTF-8 text ({err.reason})") from None
 
 
-def _raise_first_bad_record(path, idx, n_labels):
+def _parse_batches(handle, idx, n_labels):
+    """The columns of the records left in ``handle``, parsed by numpy ``_BATCH`` at a time.
+
+    Raises ``ValueError`` on a record numpy refuses, a NaN time token, or a
+    label longer than csv's field limit, which numpy does not enforce.
+    """
+    dtype = np.dtype([("labels", object, (n_labels,)), ("values", float, (len(idx) - n_labels,))])
+    labels, known, blocks = [[] for _ in range(n_labels)], [{} for _ in range(n_labels)], []
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", ".*contained no data", UserWarning)
+        while True:
+            batch = np.loadtxt(
+                handle, dtype, delimiter=",", quotechar='"', comments=None, usecols=idx, ndmin=1, max_rows=_BATCH
+            )
+            for j, (out, seen) in enumerate(zip(labels, known)):  # seen: token -> label, one object each
+                tokens = batch["labels"][:, j].tolist()
+                new = set(tokens).difference(seen)
+                if any(len(token) > csv.field_size_limit() for token in new):
+                    raise ValueError("label longer than csv's field limit")
+                seen.update((token, _parse_time(token) if j == n_labels - 1 else token) for token in new)
+                out.extend(map(seen.__getitem__, tokens))
+            blocks.append(batch["values"].copy())
+            if len(batch) < _BATCH:
+                return labels, np.concatenate(blocks)
+
+
+def _read_records(path, idx, n_labels):
+    """The columns ``_read_columns`` returns, read one csv record at a time.
+
+    The first bad record raises, naming the file line where it starts.
+    """
+    labels, values, seen = [[] for _ in range(n_labels)], array("d"), {}
     with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
-        next(reader, None)
+        next(reader)
         start = reader.line_num + 1
-        for row in reader:
-            lineno, start = start, reader.line_num + 1
-            if not row:
-                continue
-            if max(idx) >= len(row):
-                raise RaggedRow(f"{path}:{lineno}: row has {len(row)} fields") from None
-            try:
-                _parse_time(row[idx[n_labels - 1]])
-                [float(row[i]) for i in idx[n_labels:]]
-            except ValueError as err:
-                raise InputError(f"{path}:{lineno}: {err}") from None
+        try:
+            for row in reader:
+                lineno, start = start, reader.line_num + 1
+                if not row:
+                    continue
+                if max(idx) >= len(row):
+                    raise RaggedRow(f"{path}:{lineno}: row has {len(row)} fields")
+                try:
+                    labels[-1].append(_parse_time(row[idx[n_labels - 1]]))
+                    values.extend([float(row[i]) for i in idx[n_labels:]])
+                except ValueError as err:
+                    raise InputError(f"{path}:{lineno}: {err}") from None
+                for out, i in zip(labels, idx[: n_labels - 1]):
+                    out.append(seen.setdefault(row[i], row[i]))
+        except csv.Error as err:
+            raise InputError(f"{path}:{start}: {err}") from None
+    return labels, np.array(values).reshape(len(labels[-1]), len(idx) - n_labels)
 
 
 class _RowView(Sequence):

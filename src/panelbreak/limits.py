@@ -177,23 +177,28 @@ def _sup_bessel_samples(r: int, sim: SimConfig, trims) -> dict:
         win = np.flatnonzero((tau >= eps) & (tau <= 1.0 - eps) & (tau < 1.0))
         if win.size < 2:
             raise InputError(f"tau grid too coarse for eps={eps}")
-        windows[eps] = win
+        windows[eps] = slice(win[0], win[-1] + 1)  # a contiguous run: a view, not a copy
     scale = np.zeros(m)  # tau = 1 never enters a window
     scale[:-1] = 1.0 / (tau[:-1] * (1.0 - tau[:-1]))
     rng = np.random.default_rng(np.random.SeedSequence([sim.seed, 7, r]))
     out = {eps: np.empty(sim.n_paths) for eps in trims}
     sqrt_dt = np.sqrt(1.0 / m)
+    rows = min(max(256, 2_000_000 // m), sim.n_paths)  # ~2M doubles a block
+    paths, sums = np.empty((rows, m)), np.empty((rows, m))  # reused by every block
     done = 0
     while done < sim.n_paths:
-        blk = min(max(256, 2_000_000 // m), sim.n_paths - done)  # ~2M doubles a temporary
-        num = np.zeros((blk, m))
+        blk = min(rows, sim.n_paths - done)
+        path, num = paths[:blk], sums[:blk]
+        num[:] = 0.0
         for _ in range(r):
-            j = np.cumsum(rng.standard_normal((blk, m)) * sqrt_dt, axis=1)
-            bridge = j - tau * j[:, -1:]
-            num += bridge * bridge
-        stat = num * scale
+            rng.standard_normal(out=path)
+            path *= sqrt_dt
+            np.cumsum(path, axis=1, out=path)
+            path -= tau * path[:, -1:]  # the Brownian bridge
+            num += np.square(path, out=path)
+        num *= scale
         for eps, win in windows.items():
-            out[eps][done : done + blk] = stat[:, win].max(axis=1)
+            out[eps][done : done + blk] = num[:, win].max(axis=1)
         done += blk
     return out
 

@@ -6,7 +6,9 @@ normal equations solved with explicit inverses. Slow and numerically
 naive, but independent. ``reference_build_panel`` is the row-at-a-time
 panel assembly that ``build_panel`` must match outcome for outcome,
 ``reference_read_rows`` the record-at-a-time CSV reader that the
-streaming reader of ``load_panel`` must match, and
+streaming reader of ``load_panel`` must match,
+``reference_sup_bessel_samples`` the allocating loop that the in-place
+sup-Bessel simulator must match bit for bit, and
 ``simulated_argmax_quantiles`` simulates the law that
 ``argmax_quantile`` inverts in closed form.
 """
@@ -200,7 +202,8 @@ def reference_read_rows(path, labels, values=None):
 
     The last of ``labels`` holds time tokens; ``values`` defaults to every
     other column of the header. A blank line is no record; the first bad
-    record raises, naming the file line where it starts.
+    record, or a field over csv's size limit, raises, naming the file line
+    where its record starts.
     """
     with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
@@ -218,21 +221,27 @@ def reference_read_rows(path, labels, values=None):
                 raise InputError(f"{path}: column {name!r} is named more than once")
         idx = [header.index(name) for name in names]
         rows = []
-        first_line = reader.line_num + 1
-        for record in reader:
-            line, first_line = first_line, reader.line_num + 1
+        line = reader.line_num + 1
+        records = iter(reader)
+        while True:
+            try:
+                record = next(records)
+            except StopIteration:
+                return rows
+            except csv.Error as err:  # a field over csv's size limit
+                raise InputError(f"{path}:{line}: {err}") from None
+            line, first_line = reader.line_num + 1, line
             if not record:
                 continue
             if len(record) <= max(idx):
-                raise RaggedRow(f"{path}:{line}: row has {len(record)} fields")
+                raise RaggedRow(f"{path}:{first_line}: row has {len(record)} fields")
             fields = [record[i] for i in idx]
             try:
                 time = reference_time_label(fields[len(labels) - 1])
                 numbers = [float(field) for field in fields[len(labels) :]]
             except ValueError as err:
-                raise InputError(f"{path}:{line}: {err}") from None
+                raise InputError(f"{path}:{first_line}: {err}") from None
             rows.append((*fields[: len(labels) - 1], time, *numbers))
-    return rows
 
 
 def simulated_argmax_quantiles(
@@ -270,6 +279,31 @@ def simulated_argmax_quantiles(
         v_half *= 2.0
         if v_half > v_cap:
             raise RuntimeError(f"argmax horizon exceeded cap {v_cap}")
+
+
+def reference_sup_bessel_samples(r, sim, trims):
+    """``limits._sup_bessel_samples`` as a loop that allocates every block's arrays afresh."""
+    m = sim.grid_points
+    tau = np.arange(1, m + 1) / m
+    windows = {eps: np.flatnonzero((tau >= eps) & (tau <= 1.0 - eps) & (tau < 1.0)) for eps in trims}
+    scale = np.zeros(m)
+    scale[:-1] = 1.0 / (tau[:-1] * (1.0 - tau[:-1]))
+    rng = np.random.default_rng(np.random.SeedSequence([sim.seed, 7, r]))
+    out = {eps: np.empty(sim.n_paths) for eps in trims}
+    sqrt_dt = np.sqrt(1.0 / m)
+    done = 0
+    while done < sim.n_paths:
+        blk = min(max(256, 2_000_000 // m), sim.n_paths - done)
+        num = np.zeros((blk, m))
+        for _ in range(r):
+            j = np.cumsum(rng.standard_normal((blk, m)) * sqrt_dt, axis=1)
+            bridge = j - tau * j[:, -1:]
+            num += bridge * bridge
+        stat = num * scale
+        for eps, win in windows.items():
+            out[eps][done : done + blk] = stat[:, win].max(axis=1)
+        done += blk
+    return out
 
 
 @pytest.fixture

@@ -155,6 +155,25 @@ class TestOtherVerbs:
         assert fit["ci"]["lower"]["index"] <= fit["b_hat"]["index"]
         assert set(fit["beta_hat"]) == {"x1", "x2"}
 
+    @pytest.mark.parametrize("defect", ["latin-1 panel", "latin-1 common", "long label"])
+    def test_unreadable_file_is_usage_error(self, capsys, null_csv, tmp_path, defect):
+        panel, common = tmp_path / "p.csv", tmp_path / "d.csv"
+        text = open(null_csv, encoding="utf-8").read()
+        common.write_text("time,trend\n" + "".join(f"{t},{t}\n" for t in range(1, 21)), encoding="utf-8")
+        if defect == "latin-1 panel":
+            panel.write_bytes(text.replace("\n1,", "\n\xe9,", 1).encode("latin-1"))
+        else:
+            panel.write_text(text, encoding="utf-8")
+        if defect == "latin-1 common":
+            common.write_bytes("time,tr\xe9nd\n1,0\n".encode("latin-1"))
+        if defect == "long label":
+            panel.write_text(text.replace("\n1,", "\n" + "u" * 200_000 + ",", 1), encoding="utf-8")
+        argv = ["estimate", *base_args(str(panel)), "--common-input", str(common)]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert ("d.csv" if defect == "latin-1 common" else "p.csv") in err
+
 
 # The flags each fitting verb takes beyond the data and output flags.
 DATA_AND_OUTPUT = {"input", "common_input", "y", "x", "break_x", "no_intercept", "out", "format"}

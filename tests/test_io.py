@@ -5,6 +5,7 @@ import io as text_io
 import math
 import os
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -150,6 +151,40 @@ class TestReadPanel:
         with pytest.raises(InputError, match=r"p\.csv:3: .*'oops'"):
             read_panel_rows(tmp_path / "p.csv", y="y", x_names=["x1"])
 
+    def test_blank_lines_and_no_records_warn_nothing(self, tmp_path):
+        path = tmp_path / "p.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            write_csv(path, ["unit,time,y,x1", "", "a,1,1.0,0.5", "", "a,2,2.0,0.5"])
+            assert len(read_panel_rows(path, y="y", x_names=["x1"])) == 2
+            write_csv(path, ["unit,time,y,x1"])
+            assert len(read_panel_rows(path, y="y", x_names=["x1"])) == 0
+
+    def test_undecodable_file_is_an_input_error(self, tmp_path):
+        # A Latin-1 export: the unit label \xe9 is no UTF-8.
+        path = tmp_path / "p.csv"
+        path.write_bytes("unit,time,y,x1\n\xe9,1,1.0,0.5\n\xe9,2,1.0,0.5\n".encode("latin-1"))
+        with pytest.raises(InputError, match=r"p\.csv: not UTF-8 text \(invalid continuation byte\)"):
+            load_panel(path, y="y", x_names=["x1"])
+        path = tmp_path / "d.csv"
+        path.write_bytes("time,trend\n1,0.5\n2,\xb5\n".encode("latin-1"))
+        with pytest.raises(InputError, match=r"d\.csv: not UTF-8 text"):
+            read_common_rows(path)
+
+    def test_field_over_the_csv_limit_is_an_input_error(self, tmp_path):
+        long = "u" * (csv.field_size_limit() + 1)
+        path = tmp_path / "p.csv"
+        write_csv(path, ["unit,time,y,x1", "a,1,1.0,0.5", f"{long},1,1.0,0.5"])
+        with pytest.raises(InputError, match=r"p\.csv:3: field larger than field limit"):
+            load_panel(path, y="y", x_names=["x1"])
+        path = tmp_path / "d.csv"
+        write_csv(path, ["time,trend", f'"{long}",0.5', "2,1.0"])
+        with pytest.raises(InputError, match=r"d\.csv:2: field larger than field limit"):
+            read_common_rows(path)
+        write_csv(path, [f"time,{long}", "1,0.5"])
+        with pytest.raises(InputError, match=r"d\.csv:1: field larger than field limit"):
+            read_common_rows(path)
+
     def test_repeated_common_column_is_an_input_error(self, tmp_path):
         path = tmp_path / "d.csv"
         write_csv(path, ["time,d,d", "1,0.5,0.7", "2,1.0,1.2"])
@@ -181,20 +216,32 @@ class TestReadPanel:
 PERIODS = {1: ("1", "1.0"), 2: ("2", "2.00", " 2"), 3: ("3", "3e0"), 4.5: ("4.5",), "q": ("q",)}
 UNITS = st.text("ab7 ,\"\n", min_size=1, max_size=3)
 NUMBERS = st.floats(-1e3, 1e3).map(repr)
-PANEL_DEFECTS = ("ragged", "bad float", "nan time", "duplicate", "missing", "non-finite")
+# Values float() reads and numpy's tokenizer does not, and U+001C-U+001F, which
+# numpy strips around a number and float() refuses.
+ODD_NUMBERS = ("1_0", "\u0661", "\u0662.5", "\x1c1.5", "\x1d1.5", "2\x1e", "2\x1f")
+PANEL_DEFECTS = ("ragged", "bad float", "nan time", "duplicate", "missing", "non-finite", "odd number")
 
 
 def csv_text(draw, header, records):
-    """CSV text of ``records`` under ``header``: quoting, line ends, blank lines and a BOM drawn."""
+    """CSV text of ``records`` under ``header``: quoting, line ends, blank and
+    whitespace-only lines, text after a closing quote, an unterminated quote
+    at the end and a BOM drawn."""
     out = text_io.StringIO()
-    end = draw(st.sampled_from(["\n", "\r\n"]))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     writer = csv.writer(out, lineterminator=end, quoting=draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL])))
     writer.writerow(header)
     for record in records:
         if draw(st.integers(0, 5)) == 0:
-            out.write(end)  # a blank line
-        writer.writerow(record)
-    return draw(st.sampled_from(["", "\ufeff"])) + out.getvalue()
+            out.write(draw(st.sampled_from(["", "", "", "", " ", "\t"])) + end)  # a blank or whitespace-only line
+        if draw(st.integers(0, 5)) == 0 and all(field and not set(field) & set(',"\r\n') for field in record):
+            out.write(",".join(f'"{field[0]}"{field[1:]}' for field in record) + end)  # "a"b reads as ab
+        else:
+            writer.writerow(record)
+    text = out.getvalue()
+    tail = draw(st.sampled_from(["", "", "", "", "", '"', '"a' + end, ',"1']))  # an unterminated quote
+    if tail.startswith(","):
+        text = text[: -len(end)]  # the quote opens a field of the last record
+    return draw(st.sampled_from(["", "\ufeff"])) + text + tail
 
 
 @st.composite
@@ -226,7 +273,8 @@ def panel_files(draw):
             if header.index("time") < len(record):  # a ragged cut may have taken it
                 record[header.index("time")] = draw(st.sampled_from(["nan", "NaN"]))
         elif column < len(record):
-            record[column] = "oops" if kind == "bad float" else draw(st.sampled_from(["nan", "inf", "-inf"]))
+            odd = ODD_NUMBERS if kind == "odd number" else ["oops"] if kind == "bad float" else ["nan", "inf", "-inf"]
+            record[column] = draw(st.sampled_from(odd))
         records[at] = record
     common = None
     if draw(st.booleans()):
@@ -277,6 +325,29 @@ class TestStreamingReader:
         with mock.patch.object(io, "_BATCH", batch):  # records straddle batch edges at 2
             got = outcome(lambda: load_panel(path, "y", x_names, common_path=common_path, intercept=intercept))
         assert got == outcome(reference)
+
+    def test_floats_read_bitwise_as_python_reads_them(self, rng, tmp_path):
+        # 10^5 varied tokens through numpy's tokenizer (the record reader may not
+        # run): random bit patterns, 0-25 decimals, exponent forms, 40 digits.
+        n = 25_000
+        bits = rng.integers(0, 2**64, size=n, dtype=np.uint64).view(float)
+        scaled = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, size=n)
+        places = rng.integers(0, 26, size=n)
+        digits = rng.integers(0, 10, size=(n, 40)).astype(str)
+        cut = rng.integers(0, 41, size=n)
+        tokens = [
+            *map(repr, bits.tolist()),
+            *(f"{v:.{d}f}" for v, d in zip(scaled.tolist(), places.tolist())),
+            *(f"{v:+.{d}{'eE'[d % 2]}}" for v, d in zip(bits.tolist(), places.tolist())),
+            *("".join(row[:c]) + "." + "".join(row[c:]) + ("", "e-300", "E17")[c % 3] for row, c in zip(digits, cut)),
+        ]
+        path = tmp_path / "p.csv"
+        lines = ["unit,time,y,x1,x2,x3", *(f"u{i},1,{','.join(tokens[4 * i : 4 * i + 4])}" for i in range(n))]
+        write_csv(path, lines)
+        with mock.patch.object(io, "_read_records", side_effect=AssertionError("numpy refused a token")):
+            table = read_panel_rows(path, "y", ["x1", "x2", "x3"]).table
+        want = np.array([float(token) for token in tokens]).reshape(n, 4)
+        assert np.array_equal(table.view(np.uint64), want.view(np.uint64))
 
     def test_peak_memory_is_a_few_times_the_file(self, rng, tmp_path):
         path = tmp_path / "p.csv"

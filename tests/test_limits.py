@@ -23,7 +23,7 @@ from panelbreak.limits import (
     write_cache,
 )
 
-from conftest import simulated_argmax_quantiles
+from conftest import reference_sup_bessel_samples, simulated_argmax_quantiles
 
 SMALL = SimConfig(n_paths=4000, seed=99, grid_points=400)
 
@@ -140,6 +140,13 @@ class TestSimulation:
         s1 = _sup_bessel_samples(1, SMALL, [0.15])
         s2 = _sup_bessel_samples(1, SMALL, [0.15])
         assert np.array_equal(s1[0.15], s2[0.15])
+
+    @pytest.mark.parametrize("r", [1, 3])
+    def test_in_place_blocks_match_allocating_loop(self, r):
+        sim = SimConfig(n_paths=2500, seed=99)  # blocks of 1000, 1000 and 500 paths
+        got = _sup_bessel_samples(r, sim, [0.15, 0.05])
+        want = reference_sup_bessel_samples(r, sim, [0.15, 0.05])
+        assert all(np.array_equal(got[eps], want[eps]) for eps in want)
 
     def test_shared_paths_order_trims(self):
         # Both trims come from the same paths, so the wider window
