@@ -15,11 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import _estimation_profile, _interval
+from .estimator import ProfileEngine, _interval
 from .exceptions import ConfigInvariantViolation, ExperimentError, InputError, PanelBreakError
 from .limits import argmax_quantile, sup_bessel_critical
 from .panel import BreakSpec, PanelData
-from .wald import sup_wald
+from .wald import _sup_wald
 
 
 @dataclass(frozen=True)
@@ -57,10 +57,16 @@ class DgpConfig:
             raise ConfigInvariantViolation("testing rank condition needs m <= r")
         if len(self.beta) != self.k or len(self.delta) != self.r:
             raise ConfigInvariantViolation("beta/delta lengths must match k/r")
+        if not all(math.isfinite(v) for v in (*self.beta, *self.delta)):
+            raise ConfigInvariantViolation("beta and delta must be finite")
         if self.b0 is not None and not (
             self.r <= self.b0 <= self.n_periods - self.r - 1
         ):
             raise ConfigInvariantViolation("b0 must lie in [r, T-r-1]")
+        if not abs(self.factor_rho) < 1.0:
+            raise ConfigInvariantViolation("factor_rho must lie in (-1, 1)")
+        if len(self.eps_variance_range) != 2:
+            raise ConfigInvariantViolation("eps_variance_range needs two values")
         lo, hi = self.eps_variance_range
         if not (0.0 <= lo <= hi):
             raise ConfigInvariantViolation("invalid idiosyncratic variance range")
@@ -219,12 +225,12 @@ def run_experiment(
     for rep, seed in enumerate(seeds):
         try:
             panel, truth = generate(config, seed=seed)
+            engine = ProfileEngine(panel, spec)  # one for both stages
             if estimate:
-                profile, fit = _estimation_profile(panel, spec)
-                b_hat = profile.b_hat
-                lower, upper, _ = _interval(panel, spec, b_hat, alpha, c_alpha, fit)[0]
+                b_hat = engine.profile().b_hat
+                lower, upper, _ = _interval(panel, spec, b_hat, alpha, c_alpha, engine)[0]
             if test:
-                result = sup_wald(panel, spec, alpha=alpha, sw_critical=sw_critical)
+                result = _sup_wald(engine, None, alpha, sw_critical)
             # A replication counts in every metric or, when a stage raised, in none.
             if estimate:
                 widths.append(upper - lower + 1)

@@ -1,9 +1,17 @@
 """Break-date estimation: SSR profile, argmin date, confidence interval.
 
-The estimator profiles the sum of squared CCE residuals over candidate
-break dates. Two projection modes exist because the theory assigns them
-different roles: ESTIMATION projects out (D, X̄) only, while TESTING
-additionally projects out the break-interacted proxies (D(b), Z̄(b)).
+ESTIMATION projects (D, X̄) out of the time dimension; TESTING also
+projects out the break-interacted proxies (D(b), X̄R(b)). ``cce_fit`` is
+the slow reference fit at one date. ``ProfileEngine`` fits every date of
+both modes from one layout, by Frisch-Waugh in sequence. Stage 1, once:
+y and X partialled on Q0 = span(D, X̄), then ỹ on X̃; suffix sums over
+t > b give the Gram of [ry, X̃, M_Q0 Z(b)] at each date (ESTIMATION).
+Stage 2, per TESTING date: a basis Q1(b) of M_Q0 [D(b), X̄R(b)] takes its
+per-unit products off that Gram. SSR(b) is a Schur complement; rows of
+length NT are made only where the HAC or the interval reads them. A date
+goes to ``cce_fit`` when its Gram is ill-conditioned, small or lost digits
+to stage 2, its fit is near-exact or ties for the minimum SSR, or its
+stage-2 rank is not the full proxy set's.
 """
 
 from __future__ import annotations
@@ -151,16 +159,15 @@ def ssr_at(panel: PanelData, spec: BreakSpec, b: int, mode: ProjectorMode = Proj
 
 
 # ---------------------------------------------------------------------------
-# Profile engine: the fits at every candidate date of one panel, with the
-# work that does not depend on b done once. Normal equations lose accuracy
-# where the orthogonal solve in cce_fit does not, so any candidate on which
-# the two could decide differently is handed to cce_fit: a Gram matrix that
-# is ill-conditioned or small against the data it came from, a near-exact
-# fit, or a near-tie for the minimum SSR.
+# Profile engine (see the module docstring).
 
 _GUARD_COND = 1e8  # largest condition number of a Gram matrix solved directly
 _GUARD_FLOOR = 1e-8  # smallest eigenvalue, or SSR, relative to its data's sum of squares
 _GUARD_TIE = 1e-10  # relative gap below which two SSR values count as tied
+_GUARD_CANCEL = 1e-6  # smallest diagonal of a TESTING Gram relative to the same entry before projection
+# Bytes of the B x (1+r) x N*T stack of residuals and M_X̃ Z̃(b) that one
+# chunk of dates may hold: all 8 dates of a 200 x 10 panel, two of a 100 x 240.
+_CHUNK_BYTES = 1024 * 1024
 
 
 def _trusted(gram: np.ndarray, scale) -> np.ndarray:
@@ -171,95 +178,6 @@ def _trusted(gram: np.ndarray, scale) -> np.ndarray:
     vals = np.linalg.eigvalsh(gram)
     low, high = vals[..., 0], vals[..., -1]
     return (low >= _GUARD_FLOOR * np.asarray(scale)) & (high < _GUARD_COND * low)
-
-
-def _suffix_sums(per_period: np.ndarray, dates, axis: int = 0) -> np.ndarray:
-    """Sums over the periods t > b of per-period terms, for each date b."""
-    flipped = np.flip(per_period, axis=axis)
-    return np.take(np.flip(np.cumsum(flipped, axis=axis), axis=axis), dates, axis=axis)
-
-
-@dataclass(frozen=True)
-class _ArgminFit:
-    """The ESTIMATION fit at the argmin date, as far as the interval reads it."""
-
-    delta: np.ndarray
-    residuals: np.ndarray  # N x T
-
-
-def _estimation_profile(panel: PanelData, spec: BreakSpec, with_fit: bool = True):
-    """SSR(b) over the estimation candidates, and the fit at the argmin.
-
-    The ESTIMATION projector Q on span(D, X̄) does not depend on b, so y
-    and X are partialled once: ry = M_X̃ ỹ. With Z(b) = XR 1(t > b),
-    rz'ry = Z'ry, Z̃'X̃ = Z'X̃ and Z̃'Z̃ = Z'Z - sum_i (Q'z_i)'(Q'z_i) are
-    suffix sums over t, and SSR(b) = ry'ry - g'A^{-1}g with g = rz'ry and
-    A = rz'rz. At the argmin, delta = A^{-1}g and the residuals are
-    ry - rz delta; where ``cce_fit`` decided that date, its fit is kept.
-    Without ``with_fit`` the second value is None, unless a guard made it.
-    """
-    dates = estimation_candidates(spec, panel.n_periods)
-    if not dates:
-        raise EmptyCandidateSet(
-            f"no estimation candidates for T={panel.n_periods}, r={spec.n_breaking}"
-        )
-    n, t, k = panel.x.shape
-    x = panel.x
-    q = Projector.from_columns(
-        projection_columns(panel, spec, dates[0], ProjectorMode.ESTIMATION), t
-    ).q
-    yt = panel.y - (panel.y @ q) @ q.T
-    xt = x - q @ (q.T @ x)
-    sxx = np.einsum("itk,itl->kl", xt, xt)
-    values = [math.nan] * len(dates)
-    best = None  # (index, fit) of the reference fit with the lowest SSR, the first on ties
-
-    def refit(j):
-        nonlocal best
-        fit = cce_fit(panel, spec, dates[j], ProjectorMode.ESTIMATION)
-        values[j] = fit.ssr
-        if best is None or (fit.ssr, j) < (best[1].ssr, best[0]):
-            best = (j, fit)
-
-    def profile():
-        return SsrProfile(tuple(dates), tuple(values), int(np.argmin(values)))  # the first minimum
-
-    if not _trusted(sxx, np.sum(x * x)):
-        for j in range(len(dates)):
-            refit(j)
-        return profile(), best[1]
-    ry = yt - xt @ np.linalg.solve(sxx, np.einsum("itk,it->k", xt, yt))
-    z = x @ spec.selection
-    g = _suffix_sums(np.einsum("itr,it->tr", z, ry), dates)
-    zx = _suffix_sums(np.einsum("itr,itk->trk", z, xt), dates)
-    zz = _suffix_sums(np.einsum("itr,its->trs", z, z), dates)
-    qz = _suffix_sums(q[:, :, None] * z[:, :, None, :], dates, axis=1)
-    sxx_inv_xz = np.linalg.solve(sxx, zx.reshape(-1, k).T).reshape(k, len(dates), -1)
-    gram = zz - np.einsum("ibqr,ibqs->brs", qz, qz) - np.einsum("brk,kbs->brs", zx, sxx_inv_xz)
-    gram = 0.5 * (gram + gram.transpose(0, 2, 1))
-    trusted = _trusted(gram, np.trace(zz, axis1=1, axis2=2))
-    ssr = np.full(len(dates), np.nan)
-    fit_term = np.linalg.solve(gram[trusted], g[trusted][..., None])[..., 0]
-    ssr[trusted] = compensated_sum_of_squares(ry) - np.einsum("br,br->b", g[trusted], fit_term)
-    reference = ~(ssr > _GUARD_FLOOR * np.sum(yt * yt))  # also catches the NaNs
-    values[:] = ssr.tolist()
-    for j in np.flatnonzero(reference):
-        refit(j)
-    low = min(values)
-    tied = [j for j, v in enumerate(values) if v <= low + _GUARD_TIE * abs(low)]
-    if len(tied) > 1:
-        for j in tied:
-            if not reference[j]:
-                refit(j)
-    result = profile()
-    j = result.argmin_index
-    kept = best[1] if best is not None and best[0] == j else None
-    if kept is not None or not with_fit:
-        return result, kept
-    zb = z * post_break_mask(t, dates[j])[:, None]
-    rz = zb - q @ (q.T @ zb) - xt @ sxx_inv_xz[:, j, :]
-    delta = np.linalg.solve(gram[j], g[j])
-    return result, _ArgminFit(delta=delta, residuals=ry - rz @ delta)
 
 
 def _clear_rank(rz: np.ndarray, data_scale: float):
@@ -276,131 +194,6 @@ def _clear_rank(rz: np.ndarray, data_scale: float):
     return int(np.sum(s > cutoff))
 
 
-# Bytes of the B x (1+r) x N*T stack of residuals and M_X̃ Z̃(b) that one
-# chunk of testing dates may hold: all 8 dates of a 200 x 10 panel, two of a
-# 100 x 240.
-_CHUNK_BYTES = 1024 * 1024
-_GUARD_CANCEL = 1e-6  # smallest diagonal of Gram(b) relative to the same entry of F(b)'F(b)
-
-
-@dataclass(frozen=True)
-class FitStack:
-    """TESTING-mode fits at B dates, stacked along a leading axis.
-
-    ``resid`` (B, T*N) and ``z_partialled`` (B, r, T*N), the rows of
-    M_X̃ Z̃(b), are time-major: column t*N + i is unit i in period t.
-    ``y_ss`` is ỹ'ỹ and ``design_gram`` is W̃'W̃ for W̃ = (X̃, Z̃(b)).
-    ``excluded`` maps each date of the chunk that fails the rank condition
-    beyond doubt to ``cce_fit``'s message.
-    """
-
-    dates: tuple
-    n_units: int
-    beta: np.ndarray
-    delta: np.ndarray
-    resid: np.ndarray
-    z_partialled: np.ndarray
-    ssr: np.ndarray
-    y_ss: np.ndarray
-    design_gram: np.ndarray
-    excluded: dict = field(default_factory=dict)
-
-
-class TestingProfile:
-    """TESTING-mode fits at the candidate dates of one panel, a chunk at a time.
-
-    F = [y, X, XR] is laid out once as (1+k+r, T, N), and X̄, X̄R and the
-    suffix sums over t of P_t = sum_i f_it f_it' are formed once: an entry
-    of F(b)'F(b) that touches a Z column sums over t > b, any other over
-    all t. A chunk of dates takes one stacked SVD of its proxy columns
-    (each slice with the rank cutoff of ``Projector.from_columns``, dropped
-    directions zeroed) and the products Q_b'F(b) on the unmasked data, and
-    solves Frisch-Waugh on Gram(b) = F(b)'F(b) - (Q_b'F)'(Q_b'F). The
-    residual and M_X̃ Z̃(b) are then W'F(b) - Q_b (Q_b'F W) for the fitted
-    weights W; no date projects the data. A date that a guard rejects, or
-    whose Gram lost digits to the subtraction, is left out of the stack for
-    ``cce_fit`` to decide, unless its M_X̃ Z̃(b) is rank-deficient beyond
-    doubt (``_clear_rank``).
-    """
-
-    def __init__(self, panel: PanelData, spec: BreakSpec):
-        n, t, k = self._shape = panel.x.shape
-        r = spec.n_breaking
-        self._data = data = np.empty((1 + k + r, t, n))
-        data[0], data[1 : 1 + k], data[1 + k :] = panel.y.T, panel.x.T, (panel.x @ spec.selection).T
-        self._suffix = _suffix_sums(data.transpose(1, 0, 2) @ data.transpose(1, 2, 0), np.arange(t))
-        self._x_ss = np.trace(self._suffix[0, 1 : 1 + k, 1 : 1 + k])
-        self._z_ss = np.trace(self._suffix[:, 1 + k :, 1 + k :], axis1=1, axis2=2)  # index b: over t > b
-        in_z = np.arange(1 + k + r) > k
-        self._touches_z = in_z[:, None] | in_z
-        xbar = cross_sectional_average(panel)
-        d = np.empty((t, 0)) if panel.d is None else panel.d
-        # The TESTING proxies of projection_columns: D, D(b), X̄, X̄R(b).
-        self._proxies = np.hstack([d, d, xbar, xbar @ spec.selection])
-        self._masked = np.repeat([False, True, False, True], [d.shape[1], d.shape[1], k, r])
-        self._chunk = max(1, _CHUNK_BYTES // (8 * (1 + r) * t * n))
-
-    def fits(self, dates):
-        """Yield a FitStack of the guarded fits for each chunk of ``dates``."""
-        for start in range(0, len(dates), self._chunk):
-            yield self._fit_chunk(np.asarray(dates[start : start + self._chunk]))
-
-    def _fit_chunk(self, dates: np.ndarray) -> FitStack:
-        n, t, k = self._shape
-        data, m, p = self._data, len(dates), self._data.shape[0]
-        xs, zs = slice(1, 1 + k), slice(1 + k, None)
-        post = np.arange(1, t + 1) > dates[:, None]
-        cols = self._proxies * np.where(self._masked, post[:, :, None], 1.0)
-        u, s, _ = np.linalg.svd(cols, full_matrices=False)
-        q = u * (s > max(cols.shape[1:]) * np.finfo(float).eps * s[:, :1])[:, None, :]
-        qt = q.transpose(0, 2, 1)[:, None]
-        qf = np.concatenate([qt @ data[: 1 + k], (qt * post[:, None, None, :]) @ data[zs]], axis=1).reshape(m, p, -1)
-        full = np.where(self._touches_z, self._suffix[dates], self._suffix[0])  # F(b)'F(b)
-        gram = full - qf @ qf.transpose(0, 2, 1)
-        sharp = np.diagonal(gram, 0, 1, 2) >= _GUARD_CANCEL * np.diagonal(full, 0, 1, 2)
-        ident = np.eye(p)  # what rejected slices solve against; they are dropped below
-        x_ok = sharp[:, xs].all(axis=1) & _trusted(gram[:, xs, xs], self._x_ss)
-        coef = np.linalg.solve(np.where(x_ok[:, None, None], gram[:, xs, xs], ident[xs, xs]), gram[:, xs, :])
-        part = gram - gram[:, :, xs] @ coef
-        rzz = 0.5 * (part[:, zs, zs] + part[:, zs, zs].transpose(0, 2, 1))
-        z_ok = _trusted(rzz, self._z_ss[dates])
-        ok = x_ok & z_ok & sharp.all(axis=1)
-        delta = np.linalg.solve(np.where(ok[:, None, None], rzz, ident[zs, zs]), part[:, zs, :1])[..., 0]
-        beta = coef[:, :, 0] - (coef[:, :, zs] @ delta[:, :, None])[..., 0]
-        # Columns of W: the residual's weights [1, -beta, -delta] and M_X̃ Z̃'s [0, -C_xz, I_r].
-        w = np.zeros((m, p, p - k))
-        w[:, 0, 0], w[:, xs, 0], w[:, zs, 0] = 1.0, -beta, -delta
-        w[:, xs, 1:], w[:, zs, 1:] = -coef[:, :, zs], ident[zs, zs]
-        qfw = (w.transpose(0, 2, 1) @ qf).reshape(m, p - k, -1, n)
-        out, flat = np.empty((m, p - k, t * n)), data.reshape(p, -1)
-        for j, b in enumerate(dates * n):  # W_A'[y, X] up to period b, W'F after it, less Q_b Q_b'F W
-            np.matmul(w[j, : 1 + k].T, flat[: 1 + k, :b], out=out[j, :, :b])
-            np.matmul(w[j].T, flat[:, b:], out=out[j, :, b:])
-            out[j] -= (q[j] @ qfw[j]).reshape(p - k, -1)
-        resid, rz = out[:, 0], out[:, 1:]
-        ssr = (resid[:, None, :] @ resid[:, :, None])[:, 0, 0]
-        ok &= ssr > _GUARD_FLOOR * gram[:, 0, 0]
-        excluded = {}
-        for j in np.flatnonzero(x_ok & ~z_ok):
-            b, r = int(dates[j]), rz.shape[1]
-            rank = _clear_rank(rz[j], math.sqrt(self._z_ss[b]))
-            if rank is not None and rank < r:
-                excluded[b] = f"partialled break regressors have rank {rank} < r={r} at b={b}"
-        keep = slice(None) if ok.all() else np.flatnonzero(ok)
-        return FitStack(
-            dates=tuple(dates[keep].tolist()),
-            n_units=n,
-            beta=beta[keep],
-            delta=delta[keep],
-            resid=resid[keep],
-            z_partialled=rz[keep],
-            ssr=ssr[keep],
-            y_ss=gram[keep, 0, 0],
-            design_gram=gram[keep, 1:, 1:],
-            excluded=excluded,
-        )
-
-
 @dataclass(frozen=True)
 class SsrProfile:
     """SSR over the candidate set, with the first-argmin index."""
@@ -414,6 +207,170 @@ class SsrProfile:
         return self.candidate_dates[self.argmin_index]
 
 
+@dataclass(frozen=True)
+class FitStack:
+    """Fits at B dates, stacked along a leading axis.
+
+    ``resid`` (B, T, N) and ``z_partialled`` (B, r, T, N), M_X̃ Z̃(b), are
+    time-major, so that a period's rows are contiguous. ``design_gram`` is
+    W̃'W̃ for W̃ = (X̃, Z̃(b)). ``excluded`` maps each date of the chunk that
+    fails the rank condition beyond doubt to ``cce_fit``'s message.
+    """
+
+    dates: tuple
+    beta: np.ndarray
+    delta: np.ndarray
+    resid: np.ndarray
+    z_partialled: np.ndarray
+    design_gram: np.ndarray
+    excluded: dict = field(default_factory=dict)
+
+
+class ProfileEngine:
+    """The guarded fits of one panel and spec at any candidate dates, in either mode."""
+
+    def __init__(self, panel: PanelData, spec: BreakSpec):
+        n, t, k = panel.x.shape
+        r = spec.n_breaking
+        self.panel, self.spec, self._deferred = panel, spec, set()
+        self._fixed = projection_columns(panel, spec, 0, ProjectorMode.ESTIMATION)  # D, X̄
+        self._q0 = q0 = Projector.from_columns(self._fixed, t).q
+        self._moving = np.hstack([self._fixed[:, :-k], self._fixed[:, -k:] @ spec.selection])  # D(b), X̄R(b) after b
+        # Stage 1: [y, X, XR] time-major, then y and X partialled on Q0 and ỹ on X̃: [ry, X̃, XR].
+        self._data = data = np.empty((1 + k + r, t, n))
+        data[0], data[1 : 1 + k], data[1 + k :] = panel.y.T, panel.x.T, (panel.x @ spec.selection).T
+        xs = data[1 : 1 + k]
+        self._x_ss = np.einsum("ktn,ktn->", xs, xs)
+        data[: 1 + k] -= q0 @ (q0.T @ data[: 1 + k])
+        self._y_ss = np.einsum("tn,tn->", data[0], data[0])
+        sxx = np.einsum("ktn,ltn->kl", xs, xs)
+        self._ok = bool(_trusted(sxx, self._x_ss))  # else cce_fit decides every date
+        self._c_y = np.linalg.solve(sxx, np.einsum("ktn,tn->k", xs, data[0])) if self._ok else np.zeros(k)
+        data[0] -= np.einsum("k,ktn->tn", self._c_y, xs)
+        # Index b of a suffix sum: the sum over t > b of a per-period cross-product.
+        self._suffix = np.cumsum(np.einsum("ptn,qtn->tpq", data, data)[::-1], axis=0)[::-1]
+        self._chunk = max(1, _CHUNK_BYTES // (8 * (1 + r) * t * n))
+
+    def profile(self) -> SsrProfile:
+        """ESTIMATION SSR(b) over the estimation candidates; ties and deferred dates from ``cce_fit``."""
+        dates = estimation_candidates(self.spec, self.panel.n_periods)
+        if not dates:
+            raise EmptyCandidateSet(
+                f"no estimation candidates for T={self.panel.n_periods}, r={self.spec.n_breaking}"
+            )
+        zs = slice(-self.spec.n_breaking, None)
+        qz = np.cumsum(np.einsum("tq,rtn->tqrn", self._q0, self._data[zs])[::-1], axis=0)[::-1]
+        qzz = np.zeros_like(self._suffix)  # sum_i (Q0'Z_i(b))'(Q0'Z_i(b)) in the Z block
+        qzz[:, zs, zs] = np.einsum("tqrn,tqsn->trs", qz, qz)
+        ok, values = self._solve(np.asarray(dates), False, qzz)
+
+        def refit(j):
+            values[j] = cce_fit(self.panel, self.spec, dates[j], ProjectorMode.ESTIMATION).ssr
+
+        for j in np.flatnonzero(~ok):
+            refit(j)
+        low = values.min()
+        tied = np.flatnonzero(values <= low + _GUARD_TIE * abs(low))
+        if len(tied) > 1:
+            for j in tied[ok[tied]]:
+                refit(j)
+            ok[tied] = False
+        self._deferred = {dates[j] for j in np.flatnonzero(~ok)}  # where ``fit`` defers to cce_fit too
+        return SsrProfile(tuple(dates), tuple(values.tolist()), int(np.argmin(values)))  # the first minimum
+
+    def fit(self, b: int, mode: ProjectorMode) -> CceFit:
+        """The fit at ``b``, or ``cce_fit``'s (and its error) where the engine deferred ``b``."""
+        fits = next(self.fits([b], mode))
+        if not fits.dates:
+            return cce_fit(self.panel, self.spec, b, mode)
+        return CceFit(
+            break_date=b,
+            delta=fits.delta[0],
+            beta=fits.beta[0],
+            residuals=fits.resid[0].T,
+            z_partialled=fits.z_partialled[0].T,
+            ssr=float(np.einsum("tn,tn->", fits.resid[0], fits.resid[0])),
+            y_ss=float(self._y_ss),
+            design_gram=fits.design_gram[0],
+        )
+
+    def fits(self, dates, mode: ProjectorMode):
+        """Yield a FitStack of the guarded fits, with their rows, for each chunk of ``dates``."""
+        for start in range(0, len(dates), self._chunk):
+            yield self._solve(np.asarray(dates[start : start + self._chunk]), mode is ProjectorMode.TESTING)
+
+    def _solve(self, dates: np.ndarray, testing: bool, qzz=None):
+        """Frisch-Waugh solves on the stacked Grams of [ry, X̃, Z̃(b)]: a FitStack with rows or, given
+        ``qzz`` (each ESTIMATION date's sum_i |Q0'Z_i(b)|^2 from suffix sums), (ok, SSR) without rows."""
+        data, q0, m = self._data, self._q0, len(dates)
+        p, t, n = data.shape
+        r = self.spec.n_breaking
+        xs, zs = slice(1, p - r), slice(p - r, None)
+        post = np.arange(1, t + 1) > dates[:, None]
+        full = self._suffix[dates]  # with Z(b) before partialling; [ry, X̃] sum over all t
+        full[:, : p - r, : p - r] = self._suffix[0, : p - r, : p - r]
+        ok = np.array([self._ok and (testing or b not in self._deferred) for b in dates.tolist()], dtype=bool)
+        bases = np.broadcast_to(q0, (m, *q0.shape))
+        if testing:  # stage 2: add Q1(b), a basis of M_Q0 [D(b), X̄R(b)], to Q0
+            moving = self._moving * post[:, :, None]
+            cols = np.concatenate([np.broadcast_to(self._fixed, (m, *self._fixed.shape)), moving], axis=2)
+            s_all = np.linalg.svd(cols, compute_uv=False)
+            cutoff = max(cols.shape[1:]) * np.finfo(float).eps * s_all[:, :1]  # Projector.from_columns's
+            for _ in range(2):  # twice, so that Q1 is orthogonal to Q0 to working precision
+                moving -= q0 @ (q0.T @ moving)
+            q1, s, _ = np.linalg.svd(moving, full_matrices=False)
+            ok &= np.sum(s_all > cutoff, axis=1) == q0.shape[1] + np.sum(s > cutoff, axis=1)
+            bases = np.concatenate([bases, q1 * (s > cutoff)[:, None, :]], axis=2)
+        if qzz is None:  # per unit, [Q0, Q1]'[ry, X̃, Z(b)]
+            qt = bases.transpose(0, 2, 1)[:, None]
+            v = np.concatenate([qt @ data[: p - r], (qt * post[:, None, None, :]) @ data[zs]], axis=1)
+        gram = full - (np.einsum("mpjn,msjn->mps", v, v) if qzz is None else qzz[dates])
+        sharp = (not testing) | (np.diagonal(gram, 0, 1, 2) >= _GUARD_CANCEL * np.diagonal(full, 0, 1, 2))
+        ident = np.eye(p)  # what rejected slices solve against; their results are never used
+        x_ok = ok & sharp[:, xs].all(axis=1) & _trusted(gram[:, xs, xs], self._x_ss)
+        coef = np.linalg.solve(np.where(x_ok[:, None, None], gram[:, xs, xs], ident[xs, xs]), gram[:, xs, :])
+        part = gram - gram[:, :, xs] @ coef
+        rzz = 0.5 * (part[:, zs, zs] + part[:, zs, zs].transpose(0, 2, 1))
+        z_ok = _trusted(rzz, np.trace(full[:, zs, zs], axis1=1, axis2=2))
+        ok = x_ok & z_ok & sharp.all(axis=1)
+        delta = np.linalg.solve(np.where(ok[:, None, None], rzz, ident[zs, zs]), part[:, zs, :1])[..., 0]
+        ssr = part[:, 0, 0] - np.einsum("br,br->b", part[:, 0, zs], delta)  # the Schur complement
+        ok &= ssr > _GUARD_FLOOR * self._y_ss
+        if qzz is not None:
+            return ok, ssr
+        # Rows for the dates that passed, and for the TESTING dates left to _clear_rank.
+        pick = np.flatnonzero(ok | (testing & x_ok & ~z_ok))
+        m = len(pick)
+        # Columns of W: the residual's weights [1, -beta, -delta] and M_X̃ Z̃'s [0, -C_xz, I_r].
+        beta = coef[:, :, 0] - (coef[:, :, zs] @ delta[:, :, None])[..., 0]
+        w = np.zeros((m, p, 1 + r))
+        w[:, 0, 0], w[:, xs, 0], w[:, zs, 0] = 1.0, -beta[pick], -delta[pick]
+        w[:, xs, 1:], w[:, zs, 1:] = -coef[pick][:, :, zs], ident[zs, zs]
+        nq = bases.shape[2]
+        qw = (w.transpose(0, 2, 1) @ v[pick].reshape(m, p, nq * n)).reshape(m, 1 + r, nq, n)
+        out, flat = np.empty((m, 1 + r, t * n)), data.reshape(p, -1)
+        for j, b in enumerate(dates[pick] * n):  # W_A'[ry, X̃] up to period b, W'[ry, X̃, Z] after it
+            np.matmul(w[j, : p - r].T, flat[: p - r, :b], out=out[j, :, :b])
+            np.matmul(w[j].T, flat[:, b:], out=out[j, :, b:])
+            out[j] -= (bases[pick[j]] @ qw[j]).reshape(1 + r, -1)
+        excluded = {}
+        for j in np.flatnonzero(~ok[pick]):
+            b = int(dates[pick[j]])
+            rank = _clear_rank(out[j, 1:].reshape(r, -1), math.sqrt(np.trace(self._suffix[b, zs, zs])))
+            if rank is not None and rank < r:
+                excluded[b] = f"partialled break regressors have rank {rank} < r={r} at b={b}"
+        keep = slice(None) if ok[pick].all() else np.flatnonzero(ok[pick])
+        return FitStack(
+            dates=tuple(dates[ok].tolist()),
+            beta=beta[ok] + self._c_y,
+            delta=delta[ok],
+            resid=out[keep, 0].reshape(-1, t, n),
+            z_partialled=out[keep, 1:].reshape(-1, r, t, n),
+            design_gram=gram[ok, 1:, 1:],
+            excluded=excluded,
+        )
+
+
 def estimate_breakpoint(panel: PanelData, spec: BreakSpec) -> SsrProfile:
     """Profile SSR(b) over B = [r, T-r-1]; the estimate is the first argmin.
 
@@ -421,7 +378,7 @@ def estimate_breakpoint(panel: PanelData, spec: BreakSpec) -> SsrProfile:
     needed for reproducibility. The values come from the profile engine;
     ``ssr_at`` is the reference for each of them.
     """
-    return _estimation_profile(panel, spec, with_fit=False)[0]
+    return ProfileEngine(panel, spec).profile()
 
 
 def moment_estimates(panel: PanelData, fit: CceFit):
@@ -494,8 +451,8 @@ def confidence_interval(
 ):
     """Confidence interval for the true break date at level 1 - alpha.
 
-    The moments come from the ESTIMATION-mode ``cce_fit`` at ``b_hat``,
-    the same fit ``fit_break`` uses.
+    The moments come from the ESTIMATION-mode ``cce_fit`` at ``b_hat``;
+    ``fit_break`` reads the same fit from the profile engine.
 
     Parameters
     ----------
@@ -510,16 +467,18 @@ def confidence_interval(
     return _interval(panel, spec, b_hat, alpha, c_alpha)[0]
 
 
-def _interval(panel, spec, b_hat, alpha, c_alpha, fit=None):
+def _interval(panel, spec, b_hat, alpha, c_alpha, engine=None):
     """The interval at ``b_hat``, with the fit and the moments it came from.
 
-    ``fit`` is the ESTIMATION fit at ``b_hat`` when the caller has it (the
-    second value of ``_estimation_profile``); otherwise ``cce_fit`` makes it.
+    The ESTIMATION fit at ``b_hat`` comes from ``engine`` when the caller
+    has one, otherwise from ``cce_fit``.
     """
     if not (0.0 < alpha <= 1.0):
         raise InputError("alpha must lie in (0, 1]")
-    if fit is None:
+    if engine is None:
         fit = cce_fit(panel, spec, b_hat, ProjectorMode.ESTIMATION)
+    else:
+        fit = engine.fit(b_hat, ProjectorMode.ESTIMATION)
     omega, phi, sigma_i = moment_estimates(panel, fit)
     if c_alpha is None:
         c_alpha = argmax_quantile(1.0 - alpha / 2.0)
@@ -537,24 +496,21 @@ def estimate_theta(panel: PanelData, spec: BreakSpec, b: int):
     be projected out for the slope estimator to be asymptotically
     normal). The covariance is the unit-clustered sandwich
     (W̃'W̃)^{-1} [sum_i W̃_i' e_i e_i' W̃_i] (W̃'W̃)^{-1}. Theta, e and W̃'W̃
-    come from the testing engine's fit at ``b``; where its guards defer or
-    exclude ``b``, from ``cce_fit``, whose rank checks on X̃ and on
-    M_X̃ Z̃(b) together are the rank condition on W̃ (and whose error is
+    come from the profile engine's TESTING fit at ``b``; where its guards
+    defer or exclude ``b``, from ``cce_fit``, whose rank checks on X̃ and
+    on M_X̃ Z̃(b) together are the rank condition on W̃ (and whose error is
     raised). The residuals lie in the range of the projection, so
     W̃_i' e_i = W_i' e_i with the raw W.
     """
-    fits = next(TestingProfile(panel, spec).fits([b]))
-    if fits.dates:
-        n, t = panel.y.shape
-        beta, delta, resid, gram = fits.beta[0], fits.delta[0], fits.resid[0].reshape(t, n).T, fits.design_gram[0]
-    else:
-        fit = cce_fit(panel, spec, b, ProjectorMode.TESTING)
-        beta, delta, resid, gram = fit.beta, fit.delta, fit.residuals, fit.design_gram
-    theta = np.concatenate([beta, delta])
-    w = np.concatenate([panel.x, z_regressors(panel, spec, b)], axis=2)
-    scores = np.einsum("itp,it->ip", w, resid)
-    half = np.linalg.solve(gram, scores.T @ scores)
-    cov = np.linalg.solve(gram, half.T).T
+    return _theta(panel, spec, ProfileEngine(panel, spec).fit(b, ProjectorMode.TESTING))
+
+
+def _theta(panel, spec, fit: CceFit):
+    theta = np.concatenate([fit.beta, fit.delta])
+    w = np.concatenate([panel.x, z_regressors(panel, spec, fit.break_date)], axis=2)
+    scores = np.einsum("itp,it->ip", w, fit.residuals)
+    half = np.linalg.solve(fit.design_gram, scores.T @ scores)
+    cov = np.linalg.solve(fit.design_gram, half.T).T
     return theta, cov
 
 
@@ -564,12 +520,13 @@ def fit_break(
     alpha: float = 0.05,
     c_alpha: float | None = None,
 ) -> BreakFit:
-    """Full dating pipeline: profile, argmin, interval, coefficients."""
-    profile, argmin_fit = _estimation_profile(panel, spec)
+    """Full dating pipeline: profile, argmin, interval, coefficients, all from one engine."""
+    engine = ProfileEngine(panel, spec)
+    profile = engine.profile()
     b_hat = profile.b_hat
-    interval, fit, (omega, phi, sigma_i) = _interval(panel, spec, b_hat, alpha, c_alpha, argmin_fit)
+    interval, fit, (omega, phi, sigma_i) = _interval(panel, spec, b_hat, alpha, c_alpha, engine)
     lower, upper, clamped = interval
-    theta, cov = estimate_theta(panel, spec, b_hat)
+    theta, cov = _theta(panel, spec, engine.fit(b_hat, ProjectorMode.TESTING))
     return BreakFit(
         b_hat=b_hat,
         delta_hat=fit.delta,

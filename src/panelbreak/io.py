@@ -71,9 +71,17 @@ def _read_columns(path, select, n_labels):
             except csv.Error as err:
                 raise InputError(f"{path}:1: {err}") from None
             idx = _column_indices(header, select(header), path)
-            # 64 KiB blocks stay under malloc's mmap threshold; 1 MiB ones add ~0.7 MB to ingest's peak RSS.
-            chunks = iter(lambda: raw.read(1 << 16), b"")
-            if not any(sep in chunk for chunk in chunks for sep in _SEPARATORS):
+            # numpy reads the file as csv and float do unless it holds U+001C-U+001F or a line, and so
+            # maybe a field, over csv's field limit, which numpy does not enforce (lone-CR line ends
+            # make one line). Blocks of at most 64 KiB stay under malloc's mmap threshold (1 MiB ones
+            # add ~0.7 MB to ingest's peak RSS); no longer than the limit, none holds a line over it.
+            limit, run = csv.field_size_limit(), 0  # run: bytes since the last line feed
+            for chunk in iter(lambda: raw.read(min(1 << 16, limit)), b""):
+                first, last = chunk.find(b"\n"), chunk.rfind(b"\n")
+                if any(sep in chunk for sep in _SEPARATORS) or run + (len(chunk) if first < 0 else first) > limit:
+                    break
+                run = run + len(chunk) if last < 0 else len(chunk) - last - 1
+            else:
                 with contextlib.suppress(ValueError):  # then read it again, record by record
                     return _parse_batches(handle, idx, n_labels)
         return _read_records(path, idx, n_labels)
@@ -84,8 +92,7 @@ def _read_columns(path, select, n_labels):
 def _parse_batches(handle, idx, n_labels):
     """The columns of the records left in ``handle``, parsed by numpy ``_BATCH`` at a time.
 
-    Raises ``ValueError`` on a record numpy refuses, a NaN time token, or a
-    label longer than csv's field limit, which numpy does not enforce.
+    Raises ``ValueError`` on a record numpy refuses or a NaN time token.
     """
     dtype = np.dtype([("labels", object, (n_labels,)), ("values", float, (len(idx) - n_labels,))])
     labels, known, blocks = [[] for _ in range(n_labels)], [{} for _ in range(n_labels)], []
@@ -98,8 +105,6 @@ def _parse_batches(handle, idx, n_labels):
             for j, (out, seen) in enumerate(zip(labels, known)):  # seen: token -> label, one object each
                 tokens = batch["labels"][:, j].tolist()
                 new = set(tokens).difference(seen)
-                if any(len(token) > csv.field_size_limit() for token in new):
-                    raise ValueError("label longer than csv's field limit")
                 seen.update((token, _parse_time(token) if j == n_labels - 1 else token) for token in new)
                 out.extend(map(seen.__getitem__, tokens))
             blocks.append(batch["values"].copy())
@@ -216,13 +221,16 @@ def load_panel(
 def read_keyvalue_config(path) -> dict:
     """Plain-text key = value configuration, '#' starts a comment."""
     out = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise InputError(f"{path}:{lineno}: expected key = value")
-            key, value = (part.strip() for part in line.split("=", 1))
-            out[key] = value
+    try:
+        with open(path, encoding="utf-8") as handle:
+            for lineno, line in enumerate(handle, start=1):
+                line = line.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                if "=" not in line:
+                    raise InputError(f"{path}:{lineno}: expected key = value")
+                key, value = (part.strip() for part in line.split("=", 1))
+                out[key] = value
+    except UnicodeDecodeError as err:
+        raise InputError(f"{path}: not UTF-8 text ({err.reason})") from None
     return out

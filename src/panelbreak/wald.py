@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .estimator import BreakFit, CceFit, FitStack, ProjectorMode, TestingProfile, cce_fit, fit_break
+from .estimator import BreakFit, CceFit, FitStack, ProfileEngine, ProjectorMode, cce_fit, fit_break
 from .exceptions import (
     EmptyCandidateSet,
     InputError,
@@ -81,66 +81,52 @@ def _invert_psd(mats: np.ndarray):
     return (vecs / vals[:, None, :]) @ vecs.transpose(0, 2, 1), errors
 
 
-def _sandwich(z: np.ndarray, resid: np.ndarray, n: int, hac: HacConfig):
+def _sandwich(z: np.ndarray, resid: np.ndarray, hac: HacConfig):
     """Sandwich covariances of a stack of fits, and the failed Omega inversions.
 
-    ``z`` (B, r, T*N) and ``resid`` (B, T*N) are time-major, so each lag's
+    ``z`` (B, r, T, N) and ``resid`` (B, T, N) are time-major, so each lag's
     autocovariance of the scores e_it z_it is one product of two contiguous
-    column blocks.
+    blocks of periods.
     """
-    nt = z.shape[2]
-    omega_inv, errors = _invert_psd(z @ z.transpose(0, 2, 1) / nt)
-    t = nt // n
+    t, nt = z.shape[2], z.shape[2] * z.shape[3]
+    # einsum, not BLAS: its order of summation over NT does not depend on the thread count.
+    omega_inv, errors = _invert_psd(np.einsum("brtn,bstn->brs", z, z) / nt)
     s_t = hac.resolve_bandwidth(t)
-    scores = resid[:, None, :] * z
-    psi = scores @ scores.transpose(0, 2, 1) / nt
+    scores = resid[:, None] * z
+    psi = np.einsum("brtn,bstn->brs", scores, scores) / nt
     for j in range(1, t):
         w = kernel_weight(hac.kernel, j / s_t)
         if w == 0.0:
             break
-        lag = scores[:, :, j * n :] @ scores[:, :, : (t - j) * n].transpose(0, 2, 1) / nt
+        lag = np.einsum("brtn,bstn->brs", scores[:, :, j:], scores[:, :, : t - j]) / nt
         psi += w * (lag + lag.transpose(0, 2, 1))
     return omega_inv @ psi @ omega_inv, errors
 
 
 def _wald_stats(fits: FitStack, hac: HacConfig):
     """W(b) for each fit of the stack, and the failed inversions by stack index."""
-    nt = fits.resid.shape[1]
-    # Numerically exact fit: both the residuals and (possibly) the break
-    # estimate are pure rounding noise, so the Wald ratio is
-    # indeterminate. Resolve it by the sign of the break magnitude.
-    stats = np.where(np.sum(fits.delta * fits.delta, axis=1) <= 1e-16, 0.0, np.inf)
-    live = ~(fits.ssr <= 1e-14 * fits.y_ss)
-    pick = slice(None) if live.all() else np.flatnonzero(live)
-    delta = fits.delta[pick]
-    sigma, errors = _sandwich(fits.z_partialled[pick], fits.resid[pick], fits.n_units, hac)
+    nt = fits.resid.shape[1] * fits.resid.shape[2]
+    sigma, errors = _sandwich(fits.z_partialled, fits.resid, hac)
     sigma_inv, sigma_errors = _invert_psd(sigma)
-    stat = ((nt * delta)[:, None, :] @ sigma_inv @ delta[:, :, None])[:, 0, 0]
-    stats[pick] = np.where(0.0 > stat, 0.0, stat)
-    index = np.arange(len(stats))[pick]
-    return stats, {int(index[j]): msg for j, msg in {**sigma_errors, **errors}.items()}
+    stat = ((nt * fits.delta)[:, None, :] @ sigma_inv @ fits.delta[:, :, None])[:, 0, 0]
+    return np.where(0.0 > stat, 0.0, stat), {**sigma_errors, **errors}
 
 
 def _one_date(fit: CceFit) -> FitStack:
     """``fit`` as a stack of one, in the time-major layout."""
-    n, t, r = fit.z_partialled.shape
     return FitStack(
-        dates=(fit.break_date,), n_units=n, beta=fit.beta[None], delta=fit.delta[None],
-        resid=fit.residuals.T.reshape(1, t * n), z_partialled=fit.z_partialled.T.reshape(1, r, t * n),
-        ssr=np.array([fit.ssr]), y_ss=np.array([fit.y_ss]), design_gram=fit.design_gram[None],
+        dates=(fit.break_date,), beta=fit.beta[None], delta=fit.delta[None],
+        resid=fit.residuals.T[None], z_partialled=fit.z_partialled.T[None],
+        design_gram=fit.design_gram[None],
     )
 
 
-def delta_covariance(fit: CceFit, hac: HacConfig) -> np.ndarray:
-    """Sandwich covariance of the break-size estimate at one date."""
-    one = _one_date(fit)
-    sigma, errors = _sandwich(one.z_partialled, one.resid, one.n_units, hac)
-    if errors:
-        raise SingularCovariance(errors[0])
-    return sigma[0]
-
-
 def wald_from_fit(fit: CceFit, hac: HacConfig) -> float:
+    if fit.ssr <= 1e-14 * fit.y_ss:
+        # Numerically exact fit: both the residuals and (possibly) the break
+        # estimate are pure rounding noise, so the Wald ratio is
+        # indeterminate. Resolve it by the sign of the break magnitude.
+        return 0.0 if np.sum(fit.delta * fit.delta) <= 1e-16 else np.inf
     stats, errors = _wald_stats(_one_date(fit), hac)
     if errors:
         raise SingularCovariance(errors[0])
@@ -186,7 +172,11 @@ def sup_wald(
     The fits come from the profile engine; ``wald_at`` is the reference
     for each value.
     """
-    hac = hac or HacConfig()
+    return _sup_wald(ProfileEngine(panel, spec), hac, alpha, sw_critical)
+
+
+def _sup_wald(engine: ProfileEngine, hac, alpha, sw_critical) -> WaldResult:
+    panel, spec, hac = engine.panel, engine.spec, hac or HacConfig()
     if not (0.0 < alpha < 1.0):
         raise InputError("alpha must lie in (0, 1)")
     candidates = testing_candidates(spec, panel.n_periods)
@@ -196,7 +186,7 @@ def sup_wald(
             f"eps={spec.trim_fraction}"
         )
     fast, rank_failures = {}, {}
-    for fits in TestingProfile(panel, spec).fits(candidates):
+    for fits in engine.fits(candidates, ProjectorMode.TESTING):
         stats, singular = _wald_stats(fits, hac)
         fast.update((b, w) for j, (b, w) in enumerate(zip(fits.dates, stats.tolist())) if j not in singular)
         rank_failures.update(fits.excluded)

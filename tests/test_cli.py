@@ -256,6 +256,20 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg)]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_latin1_config_is_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_bytes("# caf\xe9\nn_units = 30\nreps = 2\n".encode("latin-1"))
+        assert main(["simulate", "--config", str(cfg)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "sim.cfg: not UTF-8 text" in err
+
+    @pytest.mark.parametrize("line", ["factor_rho = 2", "factor_rho = -1", "eps_variance_range = 1", "beta = 1,nan"])
+    def test_invalid_design_is_usage_error(self, capsys, tmp_path, line):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(f"n_units = 30\nn_periods = 10\nreps = 2\n{line}\n")
+        assert main(["simulate", "--config", str(cfg)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+
     @pytest.mark.parametrize("pipeline, alpha", [("ESTIMATE", "1.5"), ("FULL", "0")])
     def test_alpha_out_of_range_is_usage_error(self, capsys, tmp_path, pipeline, alpha):
         cfg = tmp_path / "sim.cfg"
@@ -448,29 +462,14 @@ def test_cli_import_skips_heavy_scipy_modules(tmp_path, break_csv):
 
 
 def test_blas_thread_count_changes_no_decision(long_csv):
-    # detect with one and with two OpenBLAS threads: the same decisions, and
-    # floats that differ at most by the order of a threaded sum.
-    def detect(threads):
+    # detect and test with one and with two OpenBLAS threads: the same bytes.
+    def run(verb, threads):
         src = os.path.dirname(os.path.dirname(__import__("panelbreak").__file__))
         env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
-        argv = [sys.executable, "-m", "panelbreak.cli", "detect", *base_args(long_csv), "--alpha", "0.01"]
-        return json.loads(subprocess.run(argv, env=env, capture_output=True, check=True).stdout)
+        argv = [sys.executable, "-m", "panelbreak.cli", verb, *base_args(long_csv), "--alpha", "0.01"]
+        return subprocess.run(argv, env=env, capture_output=True, check=True).stdout
 
-    def assert_same(one, two, where="report"):
-        assert type(one) is type(two), where
-        if isinstance(one, dict):
-            assert one.keys() == two.keys(), where
-            for key in one:
-                assert_same(one[key], two[key], f"{where}.{key}")
-        elif isinstance(one, list):
-            assert len(one) == len(two), where
-            for j, (a, b) in enumerate(zip(one, two)):
-                assert_same(a, b, f"{where}[{j}]")
-        elif isinstance(one, float):
-            assert abs(one - two) <= 1e-12 * abs(one) or one == two, (where, one, two)
-        else:
-            assert one == two, where
-
-    one = detect("1")
-    assert len(one["stages"]["breaks"]) == 2
-    assert_same(one, detect("2"))
+    one = run("detect", "1")
+    assert len(json.loads(one)["stages"]["breaks"]) == 2
+    assert one == run("detect", "2")
+    assert run("test", "1") == run("test", "2")

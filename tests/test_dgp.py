@@ -42,6 +42,9 @@ class TestConfig:
             dict(b0=9),
             dict(eps_variance_range=(2.0, 1.0)),
             dict(n_units=1),
+            dict(factor_rho=1.0),  # not stationary
+            dict(eps_variance_range=(1.0,)),
+            dict(beta=(1.0, float("nan"))),
         ],
     )
     def test_invariants(self, bad):
@@ -181,7 +184,7 @@ class TestRunExperiment:
 
     def test_failed_replication_counts_in_no_metric(self, monkeypatch):
         lengths, calls = [], []
-        rate, test = dgp._rate, dgp.sup_wald
+        rate, test = dgp._rate, dgp._sup_wald
 
         def spy_rate(flags):
             lengths.append(len(flags))
@@ -194,7 +197,7 @@ class TestRunExperiment:
             return test(*args, **kwargs)
 
         monkeypatch.setattr(dgp, "_rate", spy_rate)
-        monkeypatch.setattr(dgp, "sup_wald", test_failing_once)
+        monkeypatch.setattr(dgp, "_sup_wald", test_failing_once)
         config = DgpConfig(n_units=200, n_periods=10, b0=5, delta=(0.35,), seed=0)
         report = run_experiment(config, "FULL", reps=5)
         assert report.n_errors == 1

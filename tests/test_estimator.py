@@ -15,11 +15,12 @@ from panelbreak import (
     fit_break,
     generate,
     ssr_at,
+    sup_wald,
     z_regressors,
 )
 from panelbreak.estimator import (
     ProjectorMode,
-    _estimation_profile,
+    ProfileEngine,
     _interval,
     interval_half_width,
     moment_estimates,
@@ -349,7 +350,7 @@ def test_estimate_breakpoint_makes_no_argmin_fit(rng, monkeypatch):
     def refuse(**kwargs):
         raise AssertionError("argmin fit built")
 
-    monkeypatch.setattr(estimator, "_ArgminFit", refuse)
+    monkeypatch.setattr(estimator, "FitStack", refuse)
     assert estimate_breakpoint(panel, spec).b_hat == 7
     with pytest.raises(AssertionError, match="argmin fit built"):
         fit_break(panel, spec, c_alpha=11.0)
@@ -370,7 +371,8 @@ class TestCarriedFit:
         cases += [exact_break_panel(rng, n=10, t=20, b0=10), exact_tie_panel(rng)]
         fitted = 0
         for panel, spec in cases:
-            profile, carried = _estimation_profile(panel, spec)
+            carried = ProfileEngine(panel, spec)
+            profile = carried.profile()
             b_hat = profile.b_hat
             got, got_err = self.outcome(_interval, panel, spec, b_hat, 0.05, 11.0, carried)
             want, want_err = self.outcome(_interval, panel, spec, b_hat, 0.05, 11.0)  # refits with cce_fit
@@ -399,3 +401,26 @@ class TestCarriedFit:
         reference = cce_fit(panel, spec, fit.b_hat, ProjectorMode.ESTIMATION)
         assert np.array_equal(fit.delta_hat, reference.delta)
         assert np.array_equal(fit.sigma_eps_i, moment_estimates(panel, reference)[2])
+
+
+@pytest.mark.parametrize(
+    "scale, n_estimation, n_testing",
+    [(1, 0, 0), (30, 0, 0), (300, 0, 0), (3000, 0, 0), (30000, 238, 169)],
+)
+def test_strong_factors_send_no_more_dates_to_cce_fit(cce_fit_calls, scale, n_estimation, n_testing):
+    # Two factors scaled by s explain almost all of X. Stage 1 partials X exactly, so no
+    # subtraction cancels the X̃ block; only an X̃ Gram small against X'X (s = 30000) defers.
+    rng = np.random.default_rng(0)
+    n, t = 100, 240
+    f = scale * rng.standard_normal((t, 2))
+    big_gamma = 1.0 + 0.5 * rng.standard_normal((n, 2, 2))
+    gamma = 1.0 + 0.5 * rng.standard_normal((n, 2))
+    x = np.einsum("tm,imk->itk", f, big_gamma) + rng.standard_normal((n, t, 2))
+    post = np.arange(1, t + 1) > 120
+    y = x @ np.ones(2) + 0.5 * x[:, :, 1] * post + gamma @ f.T + rng.standard_normal((n, t))
+    panel, spec = PanelData(y=y, x=x, d=np.ones((t, 1))), BreakSpec.from_indices(2, [1], trim_fraction=0.15)
+    assert estimate_breakpoint(panel, spec).b_hat == 120
+    assert len(cce_fit_calls) == n_estimation
+    cce_fit_calls.clear()
+    assert sup_wald(panel, spec, sw_critical=8.85).argmax_date == 120
+    assert len(cce_fit_calls) == n_testing

@@ -185,6 +185,15 @@ class TestReadPanel:
         with pytest.raises(InputError, match=r"d\.csv:1: field larger than field limit"):
             read_common_rows(path)
 
+    @pytest.mark.parametrize("separator", ["", "\x1f"], ids=["numpy", "records"])
+    def test_both_readers_refuse_an_unread_field_over_the_csv_limit(self, tmp_path, separator):
+        # numpy parses the file unless it holds U+001C-U+001F; the record reader then parses it.
+        path = tmp_path / "p.csv"
+        long = "n" * 200_000
+        write_csv(path, ["unit,time,y,x1,note", f"a,1,1.0,0.5,x{separator}", "a,2,1.0,0.5,", f"a,3,1.0,0.5,{long}"])
+        with pytest.raises(InputError, match=r"p\.csv:4: field larger than field limit"):
+            read_panel_rows(path, y="y", x_names=["x1"])
+
     def test_repeated_common_column_is_an_input_error(self, tmp_path):
         path = tmp_path / "d.csv"
         write_csv(path, ["time,d,d", "1,0.5,0.7", "2,1.0,1.2"])

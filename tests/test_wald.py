@@ -27,7 +27,7 @@ from panelbreak.exceptions import (
     StatisticalError,
 )
 from panelbreak.panel import testing_candidates as trimmed_candidates
-from panelbreak.wald import delta_covariance, kernel_weight, wald_from_fit
+from panelbreak.wald import _one_date, _sandwich, kernel_weight, wald_from_fit
 
 from conftest import acceptance_01_cases, exact_break_panel, random_panel
 
@@ -104,7 +104,8 @@ class TestWaldStatistic:
         panel = random_panel(rng, n=12, t=14, k=2)
         spec = BreakSpec.from_indices(2, [0])
         fit = cce_fit(panel, spec, 7, ProjectorMode.TESTING)
-        sigma = delta_covariance(fit, HacConfig(bandwidth=1))
+        one = _one_date(fit)
+        sigma = _sandwich(one.z_partialled, one.resid, HacConfig(bandwidth=1))[0][0]
         # Oracle: lag-zero sandwich only.
         zt, eps = fit.z_partialled, fit.residuals
         nt = 12 * 14
@@ -119,7 +120,8 @@ class TestWaldStatistic:
         panel = random_panel(rng, n=12, t=14, k=2)
         spec = BreakSpec.from_indices(2, breaking)
         fit = cce_fit(panel, spec, 7, ProjectorMode.TESTING)
-        sigma = delta_covariance(fit, HacConfig(kernel=kernel, bandwidth=bandwidth))
+        one = _one_date(fit)
+        sigma = _sandwich(one.z_partialled, one.resid, HacConfig(kernel=kernel, bandwidth=bandwidth))[0][0]
         # Oracle: Psi = sum_i sum_t sum_s w(|t-s|/S) s_it s_is' / NT, kernels written out.
         weight = {
             Kernel.BARTLETT: lambda u: max(0.0, 1.0 - u),
@@ -225,7 +227,7 @@ class TestRankExclusion:
         cases.append((generate(config)[0], config.break_spec()))
         checked = 0
         for panel, spec in cases:
-            for fits in estimator.TestingProfile(panel, spec).fits(trimmed_candidates(spec, panel.n_periods)):
+            for fits in estimator.ProfileEngine(panel, spec).fits(trimmed_candidates(spec, panel.n_periods), ProjectorMode.TESTING):
                 for b, message in fits.excluded.items():
                     with pytest.raises(RankConditionFailure) as err:
                         wald_at(panel, spec, b)
