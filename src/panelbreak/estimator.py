@@ -2,16 +2,21 @@
 
 ESTIMATION projects (D, X̄) out of the time dimension; TESTING also
 projects out the break-interacted proxies (D(b), X̄R(b)). ``cce_fit`` is
-the slow reference fit at one date. ``ProfileEngine`` fits every date of
-both modes from one layout, by Frisch-Waugh in sequence. Stage 1, once:
-y and X partialled on Q0 = span(D, X̄), then ỹ on X̃; suffix sums over
-t > b give the Gram of [ry, X̃, M_Q0 Z(b)] at each date (ESTIMATION).
-Stage 2, per TESTING date: a basis Q1(b) of M_Q0 [D(b), X̄R(b)] takes its
-per-unit products off that Gram. SSR(b) is a Schur complement; rows of
-length NT are made only where the HAC or the interval reads them. A date
-goes to ``cce_fit`` when its Gram is ill-conditioned, small or lost digits
-to stage 2, its fit is near-exact or ties for the minimum SSR, or its
-stage-2 rank is not the full proxy set's.
+the slow reference fit at one date. ``ProfileEngine`` fits a stack of
+panels that share N, T, k and the spec (one panel is a stack of one) at
+any (panel, date) pairs of both modes, by Frisch-Waugh in sequence.
+Stage 1, once per panel: y and X partialled on Q0 = span(D, X̄), then ỹ on
+X̃; suffix sums over t > b give the Gram of [ry, X̃, M_Q0 Z(b)] at each
+date (ESTIMATION). Stage 2, per TESTING pair: a basis Q1(b) of
+M_Q0 [D(b), X̄R(b)] takes its per-unit products off that Gram. SSR(b) is a
+Schur complement; rows of length NT are made only where the HAC or the
+interval reads them. A pair goes to ``cce_fit`` when its Gram is
+ill-conditioned, small or lost digits to stage 2, its fit is near-exact
+or ties for its panel's minimum SSR, or its stage-2 rank is not the full
+proxy set's. A panel's arrays are slices of the stack's, so its numbers
+do not depend on the stack, unless its [D, X̄] has a lower rank than
+another panel's, when its Q0 carries zero columns. A chunk of rows holds
+the dates of one panel, or one date each of many.
 """
 
 from __future__ import annotations
@@ -26,6 +31,8 @@ from .exceptions import (
     DegenerateScale,
     EmptyCandidateSet,
     InputError,
+    NonFiniteInput,
+    PanelBreakError,
     RankConditionFailure,
     RankDeficientDesign,
     ZeroBreakMagnitude,
@@ -165,9 +172,24 @@ _GUARD_COND = 1e8  # largest condition number of a Gram matrix solved directly
 _GUARD_FLOOR = 1e-8  # smallest eigenvalue, or SSR, relative to its data's sum of squares
 _GUARD_TIE = 1e-10  # relative gap below which two SSR values count as tied
 _GUARD_CANCEL = 1e-6  # smallest diagonal of a TESTING Gram relative to the same entry before projection
-# Bytes of the B x (1+r) x N*T stack of residuals and M_X̃ Z̃(b) that one
-# chunk of dates may hold: all 8 dates of a 200 x 10 panel, two of a 100 x 240.
+# Bytes of the B x (1+r) x N*T stack of residuals and M_X̃ Z̃(b) that one chunk of
+# (panel, date) pairs may hold: all 8 dates of a 200 x 10 panel, two of a 100 x 240.
 _CHUNK_BYTES = 1024 * 1024
+
+
+def _attempt(func, *args):
+    """``func(*args)``, or the package error it raised, kept without the traceback that holds its frames."""
+    try:
+        return func(*args)
+    except PanelBreakError as err:
+        return err.with_traceback(None)
+
+
+def _unwrap(outcome):
+    """The value of an ``_attempt`` outcome, or its error raised."""
+    if isinstance(outcome, PanelBreakError):
+        raise outcome
+    return outcome
 
 
 def _trusted(gram: np.ndarray, scale) -> np.ndarray:
@@ -209,15 +231,15 @@ class SsrProfile:
 
 @dataclass(frozen=True)
 class FitStack:
-    """Fits at B dates, stacked along a leading axis.
+    """Fits at B (panel, date) ``pairs``, stacked along a leading axis.
 
     ``resid`` (B, T, N) and ``z_partialled`` (B, r, T, N), M_X̃ Z̃(b), are
     time-major, so that a period's rows are contiguous. ``design_gram`` is
-    W̃'W̃ for W̃ = (X̃, Z̃(b)). ``excluded`` maps each date of the chunk that
+    W̃'W̃ for W̃ = (X̃, Z̃(b)). ``excluded`` maps each pair of the chunk that
     fails the rank condition beyond doubt to ``cce_fit``'s message.
     """
 
-    dates: tuple
+    pairs: tuple
     beta: np.ndarray
     delta: np.ndarray
     resid: np.ndarray
@@ -227,45 +249,58 @@ class FitStack:
 
 
 class ProfileEngine:
-    """The guarded fits of one panel and spec at any candidate dates, in either mode."""
+    """The guarded fits of a stack of panels, which share N, T, k and the spec, at (panel, date) pairs."""
 
-    def __init__(self, panel: PanelData, spec: BreakSpec):
-        n, t, k = panel.x.shape
+    def __init__(self, panels, spec: BreakSpec):
+        self.panels, self.spec = tuple(panels), spec
+        n, t, k = self.panels[0].x.shape
         r = spec.n_breaking
-        self.panel, self.spec, self._deferred = panel, spec, set()
-        self._fixed = projection_columns(panel, spec, 0, ProjectorMode.ESTIMATION)  # D, X̄
-        self._q0 = q0 = Projector.from_columns(self._fixed, t).q
-        self._moving = np.hstack([self._fixed[:, :-k], self._fixed[:, -k:] @ spec.selection])  # D(b), X̄R(b) after b
+        self._deferred = np.zeros((len(self.panels), t), dtype=bool)  # [s, b]: panel s's date b goes to cce_fit
+        self._fixed = fixed = np.stack([projection_columns(p, spec, 0, ProjectorMode.ESTIMATION) for p in self.panels])
+        if not np.all(np.isfinite(fixed)):
+            raise NonFiniteInput("annihilator basis contains non-finite values")
+        # Q0: Projector.from_columns's basis of D, X̄, as wide as the largest rank and zero past each panel's.
+        u, sv, _ = np.linalg.svd(fixed, full_matrices=False)
+        keep = sv > max(fixed.shape[1:]) * np.finfo(float).eps * sv[:, :1]
+        self._rank0 = keep.sum(axis=1)
+        self._q0 = q0 = (u * keep[:, None, :])[..., : self._rank0.max()]
+        self._moving = np.concatenate([fixed[..., :-k], fixed[..., -k:] @ spec.selection], axis=2)  # D(b), X̄R(b)
         # Stage 1: [y, X, XR] time-major, then y and X partialled on Q0 and ỹ on X̃: [ry, X̃, XR].
-        self._data = data = np.empty((1 + k + r, t, n))
-        data[0], data[1 : 1 + k], data[1 + k :] = panel.y.T, panel.x.T, (panel.x @ spec.selection).T
-        xs = data[1 : 1 + k]
-        self._x_ss = np.einsum("ktn,ktn->", xs, xs)
-        data[: 1 + k] -= q0 @ (q0.T @ data[: 1 + k])
-        self._y_ss = np.einsum("tn,tn->", data[0], data[0])
-        sxx = np.einsum("ktn,ltn->kl", xs, xs)
-        self._ok = bool(_trusted(sxx, self._x_ss))  # else cce_fit decides every date
-        self._c_y = np.linalg.solve(sxx, np.einsum("ktn,tn->k", xs, data[0])) if self._ok else np.zeros(k)
-        data[0] -= np.einsum("k,ktn->tn", self._c_y, xs)
-        # Index b of a suffix sum: the sum over t > b of a per-period cross-product.
-        self._suffix = np.cumsum(np.einsum("ptn,qtn->tpq", data, data)[::-1], axis=0)[::-1]
-        self._chunk = max(1, _CHUNK_BYTES // (8 * (1 + r) * t * n))
+        self._data = data = np.empty((len(self.panels), 1 + k + r, t, n))
+        for s, panel in enumerate(self.panels):
+            data[s, 0], data[s, 1 : 1 + k], data[s, 1 + k :] = panel.y.T, panel.x.T, (panel.x @ spec.selection).T
+        xs = data[:, 1 : 1 + k]
+        self._x_ss = np.einsum("sktn,sktn->s", xs, xs)
+        data[:, : 1 + k] -= q0[:, None] @ (q0.transpose(0, 2, 1)[:, None] @ data[:, : 1 + k])
+        self._y_ss = np.einsum("stn,stn->s", data[:, 0], data[:, 0])
+        sxx = np.einsum("sktn,sltn->skl", xs, xs)
+        self._ok = ok = _trusted(sxx, self._x_ss)  # else cce_fit decides every date of the panel
+        sxy = np.einsum("sktn,stn->sk", xs, data[:, 0])[..., None]
+        c_y = np.linalg.solve(np.where(ok[:, None, None], sxx, np.eye(k)), sxy)
+        self._c_y = np.where(ok[:, None], c_y[..., 0], 0.0)
+        data[:, 0] -= np.einsum("sk,sktn->stn", self._c_y, xs)
+        # Index [s, b] of a suffix sum: panel s's sum over t > b of a per-period cross-product.
+        self._suffix = np.cumsum(np.einsum("sptn,sqtn->stpq", data, data)[:, ::-1], axis=1)[:, ::-1]
+        self._chunk = max(1, _CHUNK_BYTES // (8 * (1 + r) * t * n))  # (panel, date) pairs
 
-    def profile(self) -> SsrProfile:
-        """ESTIMATION SSR(b) over the estimation candidates; ties and deferred dates from ``cce_fit``."""
-        dates = estimation_candidates(self.spec, self.panel.n_periods)
+    def profiles(self) -> list:
+        """Each panel's ESTIMATION SSR(b) over the estimation candidates, or the error it raised;
+        ties and deferred dates take ``cce_fit``'s value."""
+        t, r = self.panels[0].n_periods, self.spec.n_breaking
+        dates = estimation_candidates(self.spec, t)
         if not dates:
-            raise EmptyCandidateSet(
-                f"no estimation candidates for T={self.panel.n_periods}, r={self.spec.n_breaking}"
-            )
-        zs = slice(-self.spec.n_breaking, None)
-        qz = np.cumsum(np.einsum("tq,rtn->tqrn", self._q0, self._data[zs])[::-1], axis=0)[::-1]
+            return [EmptyCandidateSet(f"no estimation candidates for T={t}, r={r}")] * len(self.panels)
+        zs = slice(-r, None)
+        qz = np.cumsum(np.einsum("stq,satn->stqan", self._q0, self._data[:, zs])[:, ::-1], axis=1)[:, ::-1]
         qzz = np.zeros_like(self._suffix)  # sum_i (Q0'Z_i(b))'(Q0'Z_i(b)) in the Z block
-        qzz[:, zs, zs] = np.einsum("tqrn,tqsn->trs", qz, qz)
-        ok, values = self._solve(np.asarray(dates), False, qzz)
+        qzz[..., zs, zs] = np.einsum("stqan,stqbn->stab", qz, qz)
+        reps = np.arange(len(self.panels))
+        ok, values = self._solve(reps, np.tile(dates, (len(reps), 1)), False, qzz)
+        return [_attempt(self._profile, s, dates, ok[s], values[s]) for s in reps.tolist()]
 
+    def _profile(self, s: int, dates: list, ok: np.ndarray, values: np.ndarray) -> SsrProfile:
         def refit(j):
-            values[j] = cce_fit(self.panel, self.spec, dates[j], ProjectorMode.ESTIMATION).ssr
+            values[j] = cce_fit(self.panels[s], self.spec, dates[j], ProjectorMode.ESTIMATION).ssr
 
         for j in np.flatnonzero(~ok):
             refit(j)
@@ -275,59 +310,66 @@ class ProfileEngine:
             for j in tied[ok[tied]]:
                 refit(j)
             ok[tied] = False
-        self._deferred = {dates[j] for j in np.flatnonzero(~ok)}  # where ``fit`` defers to cce_fit too
+        self._deferred[s, np.asarray(dates)[~ok]] = True  # where ``fit`` defers to cce_fit too
         return SsrProfile(tuple(dates), tuple(values.tolist()), int(np.argmin(values)))  # the first minimum
 
-    def fit(self, b: int, mode: ProjectorMode) -> CceFit:
-        """The fit at ``b``, or ``cce_fit``'s (and its error) where the engine deferred ``b``."""
-        fits = next(self.fits([b], mode))
-        if not fits.dates:
-            return cce_fit(self.panel, self.spec, b, mode)
-        return CceFit(
-            break_date=b,
-            delta=fits.delta[0],
-            beta=fits.beta[0],
-            residuals=fits.resid[0].T,
-            z_partialled=fits.z_partialled[0].T,
-            ssr=float(np.einsum("tn,tn->", fits.resid[0], fits.resid[0])),
-            y_ss=float(self._y_ss),
-            design_gram=fits.design_gram[0],
-        )
+    def fit(self, reps, dates, mode: ProjectorMode) -> list:
+        """Panel ``reps[i]``'s fit at ``dates[i]``, or ``cce_fit``'s (or its error) where the engine deferred it."""
+        got = {}
+        for fits in self.fits(reps, np.reshape(dates, (-1, 1)), mode):
+            for j, (s, b) in enumerate(fits.pairs):
+                got[s, b] = CceFit(
+                    break_date=b, delta=fits.delta[j], beta=fits.beta[j], residuals=fits.resid[j].T,
+                    z_partialled=fits.z_partialled[j].T, ssr=float(np.einsum("tn,tn->", fits.resid[j], fits.resid[j])),
+                    y_ss=float(self._y_ss[s]), design_gram=fits.design_gram[j],
+                )
+        return [got.get((s, b)) or _attempt(cce_fit, self.panels[s], self.spec, b, mode) for s, b in zip(reps, dates)]
 
-    def fits(self, dates, mode: ProjectorMode):
-        """Yield a FitStack of the guarded fits, with their rows, for each chunk of ``dates``."""
-        for start in range(0, len(dates), self._chunk):
-            yield self._solve(np.asarray(dates[start : start + self._chunk]), mode is ProjectorMode.TESTING)
+    def fits(self, reps, dates, mode: ProjectorMode):
+        """Yield a FitStack of the guarded fits, with their rows, of panel ``reps[i]`` at each of
+        ``dates[i]``, a chunk of pairs at a time: the dates of one panel, chunked as for a lone
+        panel, or one date of each of many panels, so no chunk holds more rows than a lone panel's."""
+        reps, dates, testing = np.asarray(reps, dtype=int), np.asarray(dates, dtype=int), mode is ProjectorMode.TESTING
+        per = self._chunk if dates.shape[1] == 1 else 1  # panels per chunk
+        for i in range(0, len(reps), per):
+            for j in range(0, dates.shape[1], self._chunk):
+                yield self._solve(reps[i : i + per], dates[i : i + per, j : j + self._chunk], testing)
 
-    def _solve(self, dates: np.ndarray, testing: bool, qzz=None):
-        """Frisch-Waugh solves on the stacked Grams of [ry, X̃, Z̃(b)]: a FitStack with rows or, given
-        ``qzz`` (each ESTIMATION date's sum_i |Q0'Z_i(b)|^2 from suffix sums), (ok, SSR) without rows."""
-        data, q0, m = self._data, self._q0, len(dates)
-        p, t, n = data.shape
-        r = self.spec.n_breaking
+    def _solve(self, reps: np.ndarray, dates: np.ndarray, testing: bool, qzz=None):
+        """Frisch-Waugh solves on the stacked Grams of [ry, X̃, Z̃(b)] of panel reps[i] at each of dates[i]:
+        a FitStack with rows or, given ``qzz`` (each ESTIMATION pair's sum_i |Q0'Z_i(b)|^2 from suffix
+        sums), (ok, SSR) in the shape of ``dates``, without rows."""
+        shape, data, m = dates.shape, self._data, dates.size
+        at, dates = np.repeat(reps, shape[1]), dates.ravel()  # each pair's panel and date
+        (p, t, n), r = data.shape[1:], self.spec.n_breaking
         xs, zs = slice(1, p - r), slice(p - r, None)
         post = np.arange(1, t + 1) > dates[:, None]
-        full = self._suffix[dates]  # with Z(b) before partialling; [ry, X̃] sum over all t
-        full[:, : p - r, : p - r] = self._suffix[0, : p - r, : p - r]
-        ok = np.array([self._ok and (testing or b not in self._deferred) for b in dates.tolist()], dtype=bool)
-        bases = np.broadcast_to(q0, (m, *q0.shape))
+        full = self._suffix[at, dates]  # with Z(b) before partialling; [ry, X̃] sum over all t
+        full[:, : p - r, : p - r] = self._suffix[at, 0, : p - r, : p - r]
+        ok = self._ok[at] & (testing | ~self._deferred[at, dates])
+        if qzz is None:  # each pair's Q0, to be followed by Q1(b) in TESTING
+            bases = q0 = self._q0[at]
         if testing:  # stage 2: add Q1(b), a basis of M_Q0 [D(b), X̄R(b)], to Q0
-            moving = self._moving * post[:, :, None]
-            cols = np.concatenate([np.broadcast_to(self._fixed, (m, *self._fixed.shape)), moving], axis=2)
+            moving = self._moving[at] * post[:, :, None]
+            cols = np.concatenate([self._fixed[at], moving], axis=2)
             s_all = np.linalg.svd(cols, compute_uv=False)
             cutoff = max(cols.shape[1:]) * np.finfo(float).eps * s_all[:, :1]  # Projector.from_columns's
             for _ in range(2):  # twice, so that Q1 is orthogonal to Q0 to working precision
-                moving -= q0 @ (q0.T @ moving)
+                moving -= q0 @ (q0.transpose(0, 2, 1) @ moving)
             q1, s, _ = np.linalg.svd(moving, full_matrices=False)
-            ok &= np.sum(s_all > cutoff, axis=1) == q0.shape[1] + np.sum(s > cutoff, axis=1)
+            ok &= np.sum(s_all > cutoff, axis=1) == self._rank0[at] + np.sum(s > cutoff, axis=1)
             bases = np.concatenate([bases, q1 * (s > cutoff)[:, None, :]], axis=2)
-        if qzz is None:  # per unit, [Q0, Q1]'[ry, X̃, Z(b)]
-            qt = bases.transpose(0, 2, 1)[:, None]
-            v = np.concatenate([qt @ data[: p - r], (qt * post[:, None, None, :]) @ data[zs]], axis=1)
-        gram = full - (np.einsum("mpjn,msjn->mps", v, v) if qzz is None else qzz[dates])
+        if qzz is None:  # per unit, [Q0, Q1]'[ry, X̃, Z(b)], a panel at a time
+            qt = bases.transpose(0, 2, 1).reshape(*shape, 1, -1, t)
+            v = np.empty((*shape, p, bases.shape[2], n))
+            for i, s in enumerate(reps.tolist()):
+                np.matmul(qt[i], data[s, : p - r], out=v[i, :, : p - r])
+                np.matmul(qt[i] * post.reshape(*shape, 1, 1, t)[i], data[s, zs], out=v[i, :, zs])
+            v = v.reshape(m, p, -1, n)
+        gram = full - (np.einsum("mpjn,msjn->mps", v, v) if qzz is None else qzz[at, dates])
         sharp = (not testing) | (np.diagonal(gram, 0, 1, 2) >= _GUARD_CANCEL * np.diagonal(full, 0, 1, 2))
         ident = np.eye(p)  # what rejected slices solve against; their results are never used
-        x_ok = ok & sharp[:, xs].all(axis=1) & _trusted(gram[:, xs, xs], self._x_ss)
+        x_ok = ok & sharp[:, xs].all(axis=1) & _trusted(gram[:, xs, xs], self._x_ss[at])
         coef = np.linalg.solve(np.where(x_ok[:, None, None], gram[:, xs, xs], ident[xs, xs]), gram[:, xs, :])
         part = gram - gram[:, :, xs] @ coef
         rzz = 0.5 * (part[:, zs, zs] + part[:, zs, zs].transpose(0, 2, 1))
@@ -335,39 +377,34 @@ class ProfileEngine:
         ok = x_ok & z_ok & sharp.all(axis=1)
         delta = np.linalg.solve(np.where(ok[:, None, None], rzz, ident[zs, zs]), part[:, zs, :1])[..., 0]
         ssr = part[:, 0, 0] - np.einsum("br,br->b", part[:, 0, zs], delta)  # the Schur complement
-        ok &= ssr > _GUARD_FLOOR * self._y_ss
+        ok &= ssr > _GUARD_FLOOR * self._y_ss[at]
         if qzz is not None:
-            return ok, ssr
-        # Rows for the dates that passed, and for the TESTING dates left to _clear_rank.
-        pick = np.flatnonzero(ok | (testing & x_ok & ~z_ok))
-        m = len(pick)
+            return ok.reshape(shape), ssr.reshape(shape)
+        # Rows for the pairs that passed, then for the TESTING pairs left to _clear_rank.
+        pick = np.concatenate([np.flatnonzero(ok), np.flatnonzero(testing & x_ok & ~z_ok)])
         # Columns of W: the residual's weights [1, -beta, -delta] and M_X̃ Z̃'s [0, -C_xz, I_r].
         beta = coef[:, :, 0] - (coef[:, :, zs] @ delta[:, :, None])[..., 0]
-        w = np.zeros((m, p, 1 + r))
-        w[:, 0, 0], w[:, xs, 0], w[:, zs, 0] = 1.0, -beta[pick], -delta[pick]
-        w[:, xs, 1:], w[:, zs, 1:] = -coef[pick][:, :, zs], ident[zs, zs]
-        nq = bases.shape[2]
-        qw = (w.transpose(0, 2, 1) @ v[pick].reshape(m, p, nq * n)).reshape(m, 1 + r, nq, n)
-        out, flat = np.empty((m, 1 + r, t * n)), data.reshape(p, -1)
-        for j, b in enumerate(dates[pick] * n):  # W_A'[ry, X̃] up to period b, W'[ry, X̃, Z] after it
-            np.matmul(w[j, : p - r].T, flat[: p - r, :b], out=out[j, :, :b])
-            np.matmul(w[j].T, flat[:, b:], out=out[j, :, b:])
-            out[j] -= (bases[pick[j]] @ qw[j]).reshape(1 + r, -1)
-        excluded = {}
-        for j in np.flatnonzero(~ok[pick]):
-            b = int(dates[pick[j]])
-            rank = _clear_rank(out[j, 1:].reshape(r, -1), math.sqrt(np.trace(self._suffix[b, zs, zs])))
+        w = np.zeros((m, p, 1 + r))  # zero for the pairs without rows
+        w[pick, 0, 0], w[pick, xs, 0], w[pick, zs, 0] = 1.0, -beta[pick], -delta[pick]
+        w[pick, xs, 1:], w[pick, zs, 1:] = -coef[pick][:, :, zs], ident[zs, zs]
+        qw = (w.transpose(0, 2, 1) @ v.reshape(m, p, -1)).reshape(m, 1 + r, -1, n)
+        del v  # before the rows are made
+        out = np.empty((len(pick), 1 + r, t * n))
+        for j, i in enumerate(pick.tolist()):
+            flat, b = data[at[i]].reshape(p, -1), dates[i] * n  # W_A'[ry, X̃] up to period b, W'[ry, X̃, Z] after
+            np.matmul(w[i, : p - r].T, flat[: p - r, :b], out=out[j, :, :b])
+            np.matmul(w[i].T, flat[:, b:], out=out[j, :, b:])
+            out[j] -= (bases[i] @ qw[i]).reshape(1 + r, -1)
+        n_ok, excluded = int(ok.sum()), {}
+        for j, i in enumerate(pick[n_ok:].tolist(), n_ok):
+            s, b = int(at[i]), int(dates[i])
+            rank = _clear_rank(out[j, 1:].reshape(r, -1), math.sqrt(np.trace(self._suffix[s, b, zs, zs])))
             if rank is not None and rank < r:
-                excluded[b] = f"partialled break regressors have rank {rank} < r={r} at b={b}"
-        keep = slice(None) if ok[pick].all() else np.flatnonzero(ok[pick])
+                excluded[s, b] = f"partialled break regressors have rank {rank} < r={r} at b={b}"
         return FitStack(
-            dates=tuple(dates[ok].tolist()),
-            beta=beta[ok] + self._c_y,
-            delta=delta[ok],
-            resid=out[keep, 0].reshape(-1, t, n),
-            z_partialled=out[keep, 1:].reshape(-1, r, t, n),
-            design_gram=gram[ok, 1:, 1:],
-            excluded=excluded,
+            pairs=tuple(zip(at[ok].tolist(), dates[ok].tolist())), beta=beta[ok] + self._c_y[at[ok]], delta=delta[ok],
+            resid=out[:n_ok, 0].reshape(-1, t, n), z_partialled=out[:n_ok, 1:].reshape(-1, r, t, n),
+            design_gram=gram[ok, 1:, 1:], excluded=excluded,
         )
 
 
@@ -378,7 +415,7 @@ def estimate_breakpoint(panel: PanelData, spec: BreakSpec) -> SsrProfile:
     needed for reproducibility. The values come from the profile engine;
     ``ssr_at`` is the reference for each of them.
     """
-    return ProfileEngine(panel, spec).profile()
+    return _unwrap(ProfileEngine([panel], spec).profiles()[0])
 
 
 def moment_estimates(panel: PanelData, fit: CceFit):
@@ -442,43 +479,25 @@ class BreakFit:
     ci_clamped: bool = False
 
 
-def confidence_interval(
-    panel: PanelData,
-    spec: BreakSpec,
-    b_hat: int,
-    alpha: float,
-    c_alpha: float | None = None,
-):
-    """Confidence interval for the true break date at level 1 - alpha.
+def confidence_interval(panel: PanelData, spec: BreakSpec, b_hat: int, alpha: float, c_alpha: float | None = None):
+    """(lower, upper, clamped): the interval for the true break date at level 1 - alpha, clamped to [1, T-1].
 
-    The moments come from the ESTIMATION-mode ``cce_fit`` at ``b_hat``;
-    ``fit_break`` reads the same fit from the profile engine.
-
-    Parameters
-    ----------
-    c_alpha : float, optional
-        The (1 - alpha/2) percentile of the argmax limit law. Looked up
-        via :mod:`panelbreak.limits` when omitted.
-
-    Returns
-    -------
-    (lower, upper, clamped) with endpoints clamped to [1, T-1].
+    ``c_alpha``, the (1 - alpha/2) percentile of the argmax limit law, is looked up in
+    :mod:`panelbreak.limits` when omitted. The moments come from the ESTIMATION-mode
+    ``cce_fit`` at ``b_hat``; ``fit_break`` reads the same fit from the profile engine.
     """
     return _interval(panel, spec, b_hat, alpha, c_alpha)[0]
 
 
-def _interval(panel, spec, b_hat, alpha, c_alpha, engine=None):
+def _interval(panel, spec, b_hat, alpha, c_alpha, fit=None):
     """The interval at ``b_hat``, with the fit and the moments it came from.
 
-    The ESTIMATION fit at ``b_hat`` comes from ``engine`` when the caller
-    has one, otherwise from ``cce_fit``.
+    ``fit`` is the ESTIMATION fit at ``b_hat`` (or the error it raised)
+    when the caller has it; otherwise it comes from ``cce_fit``.
     """
     if not (0.0 < alpha <= 1.0):
         raise InputError("alpha must lie in (0, 1]")
-    if engine is None:
-        fit = cce_fit(panel, spec, b_hat, ProjectorMode.ESTIMATION)
-    else:
-        fit = engine.fit(b_hat, ProjectorMode.ESTIMATION)
+    fit = cce_fit(panel, spec, b_hat, ProjectorMode.ESTIMATION) if fit is None else _unwrap(fit)
     omega, phi, sigma_i = moment_estimates(panel, fit)
     if c_alpha is None:
         c_alpha = argmax_quantile(1.0 - alpha / 2.0)
@@ -487,6 +506,22 @@ def _interval(panel, spec, b_hat, alpha, c_alpha, engine=None):
     t_max = panel.n_periods - 1
     interval = (max(1, lower), min(t_max, upper), lower < 1 or upper > t_max)
     return interval, fit, (omega, phi, sigma_i)
+
+
+def _intervals(engine: ProfileEngine, alpha, c_alpha) -> list:
+    """Each panel's (profile, interval, fit at b̂, moments), or the error it raised.
+
+    The ESTIMATION fits at the panels' argmins come from one stacked solve.
+    """
+    profiles = engine.profiles()
+    done = [s for s, profile in enumerate(profiles) if isinstance(profile, SsrProfile)]
+    fits = dict(zip(done, engine.fit(done, [profiles[s].b_hat for s in done], ProjectorMode.ESTIMATION)))
+
+    def interval(s):
+        b_hat = _unwrap(profiles[s]).b_hat
+        return profiles[s], *_interval(engine.panels[s], engine.spec, b_hat, alpha, c_alpha, fits[s])
+
+    return [_attempt(interval, s) for s in range(len(profiles))]
 
 
 def estimate_theta(panel: PanelData, spec: BreakSpec, b: int):
@@ -502,7 +537,7 @@ def estimate_theta(panel: PanelData, spec: BreakSpec, b: int):
     raised). The residuals lie in the range of the projection, so
     W̃_i' e_i = W_i' e_i with the raw W.
     """
-    return _theta(panel, spec, ProfileEngine(panel, spec).fit(b, ProjectorMode.TESTING))
+    return _theta(panel, spec, _unwrap(ProfileEngine([panel], spec).fit([0], [b], ProjectorMode.TESTING)[0]))
 
 
 def _theta(panel, spec, fit: CceFit):
@@ -514,30 +549,13 @@ def _theta(panel, spec, fit: CceFit):
     return theta, cov
 
 
-def fit_break(
-    panel: PanelData,
-    spec: BreakSpec,
-    alpha: float = 0.05,
-    c_alpha: float | None = None,
-) -> BreakFit:
+def fit_break(panel: PanelData, spec: BreakSpec, alpha: float = 0.05, c_alpha: float | None = None) -> BreakFit:
     """Full dating pipeline: profile, argmin, interval, coefficients, all from one engine."""
-    engine = ProfileEngine(panel, spec)
-    profile = engine.profile()
-    b_hat = profile.b_hat
-    interval, fit, (omega, phi, sigma_i) = _interval(panel, spec, b_hat, alpha, c_alpha, engine)
-    lower, upper, clamped = interval
-    theta, cov = _theta(panel, spec, engine.fit(b_hat, ProjectorMode.TESTING))
+    engine = ProfileEngine([panel], spec)
+    profile, (lower, upper, clamped), fit, (omega, phi, sigma_i) = _unwrap(_intervals(engine, alpha, c_alpha)[0])
+    theta, cov = _theta(panel, spec, _unwrap(engine.fit([0], [profile.b_hat], ProjectorMode.TESTING)[0]))
     return BreakFit(
-        b_hat=b_hat,
-        delta_hat=fit.delta,
-        theta_hat=theta,
-        theta_cov=cov,
-        omega_x_hat=omega,
-        phi_x_hat=phi,
-        sigma_eps_i=sigma_i,
-        ci_lower=lower,
-        ci_upper=upper,
-        alpha=alpha,
-        ssr_profile=profile,
-        ci_clamped=clamped,
+        b_hat=profile.b_hat, delta_hat=fit.delta, theta_hat=theta, theta_cov=cov,
+        omega_x_hat=omega, phi_x_hat=phi, sigma_eps_i=sigma_i,
+        ci_lower=lower, ci_upper=upper, alpha=alpha, ssr_profile=profile, ci_clamped=clamped,
     )

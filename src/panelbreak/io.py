@@ -71,16 +71,20 @@ def _read_columns(path, select, n_labels):
             except csv.Error as err:
                 raise InputError(f"{path}:1: {err}") from None
             idx = _column_indices(header, select(header), path)
-            # numpy reads the file as csv and float do unless it holds U+001C-U+001F or a line, and so
-            # maybe a field, over csv's field limit, which numpy does not enforce (lone-CR line ends
-            # make one line). Blocks of at most 64 KiB stay under malloc's mmap threshold (1 MiB ones
-            # add ~0.7 MB to ingest's peak RSS); no longer than the limit, none holds a line over it.
-            limit, run = csv.field_size_limit(), 0  # run: bytes since the last line feed
+            # numpy reads the file as csv and float do unless it holds U+001C-U+001F, a line feed inside
+            # quotes or a line, and so maybe a field, over csv's field limit, which numpy does not enforce
+            # (lone-CR line ends make one line). Blocks of at most 64 KiB stay under malloc's mmap threshold
+            # (1 MiB ones add ~0.7 MB to ingest's peak RSS); no longer than the limit, none holds a line over it.
+            limit, run, quoted = csv.field_size_limit(), 0, 0  # bytes since the last line feed; inside quotes
             for chunk in iter(lambda: raw.read(min(1 << 16, limit)), b""):
                 first, last = chunk.find(b"\n"), chunk.rfind(b"\n")
+                parts = chunk.split(b'"')  # from parts[1 - quoted] on, every other part lies inside quotes
                 if any(sep in chunk for sep in _SEPARATORS) or run + (len(chunk) if first < 0 else first) > limit:
                     break
+                if any(b"\n" in part for part in parts[1 - quoted :: 2]):
+                    break
                 run = run + len(chunk) if last < 0 else len(chunk) - last - 1
+                quoted = (quoted + len(parts) - 1) % 2
             else:
                 with contextlib.suppress(ValueError):  # then read it again, record by record
                     return _parse_batches(handle, idx, n_labels)

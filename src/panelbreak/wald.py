@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .estimator import BreakFit, CceFit, FitStack, ProfileEngine, ProjectorMode, cce_fit, fit_break
+from .estimator import BreakFit, CceFit, FitStack, ProfileEngine, ProjectorMode, _attempt, _unwrap, cce_fit, fit_break
 from .exceptions import (
     EmptyCandidateSet,
     InputError,
@@ -115,7 +115,7 @@ def _wald_stats(fits: FitStack, hac: HacConfig):
 def _one_date(fit: CceFit) -> FitStack:
     """``fit`` as a stack of one, in the time-major layout."""
     return FitStack(
-        dates=(fit.break_date,), beta=fit.beta[None], delta=fit.delta[None],
+        pairs=((0, fit.break_date),), beta=fit.beta[None], delta=fit.delta[None],
         resid=fit.residuals.T[None], z_partialled=fit.z_partialled.T[None],
         design_gram=fit.design_gram[None],
     )
@@ -157,13 +157,8 @@ class WaldResult:
     excluded_dates: tuple = field(default_factory=tuple)
 
 
-def sup_wald(
-    panel: PanelData,
-    spec: BreakSpec,
-    hac: HacConfig | None = None,
-    alpha: float = 0.05,
-    sw_critical: float | None = None,
-) -> WaldResult:
+def sup_wald(panel: PanelData, spec: BreakSpec, hac: HacConfig | None = None, alpha: float = 0.05,
+             sw_critical: float | None = None) -> WaldResult:
     """Sup-Wald test over the trimmed set B'.
 
     A candidate failing the rank condition is excluded and flagged in
@@ -172,60 +167,55 @@ def sup_wald(
     The fits come from the profile engine; ``wald_at`` is the reference
     for each value.
     """
-    return _sup_wald(ProfileEngine(panel, spec), hac, alpha, sw_critical)
+    return _unwrap(_sup_wald(ProfileEngine([panel], spec), hac, alpha, sw_critical)[0])
 
 
-def _sup_wald(engine: ProfileEngine, hac, alpha, sw_critical) -> WaldResult:
-    panel, spec, hac = engine.panel, engine.spec, hac or HacConfig()
+def _sup_wald(engine: ProfileEngine, hac, alpha, sw_critical) -> list:
+    """Each panel's sup-Wald result, or the error it raised, from the stack's TESTING fits."""
+    spec, hac, t = engine.spec, hac or HacConfig(), engine.panels[0].n_periods
     if not (0.0 < alpha < 1.0):
         raise InputError("alpha must lie in (0, 1)")
-    candidates = testing_candidates(spec, panel.n_periods)
+    candidates = testing_candidates(spec, t)
     if not candidates:
-        raise EmptyCandidateSet(
-            f"trimmed candidate set is empty for T={panel.n_periods}, "
-            f"eps={spec.trim_fraction}"
-        )
-    fast, rank_failures = {}, {}
-    for fits in engine.fits(candidates, ProjectorMode.TESTING):
+        empty = EmptyCandidateSet(f"trimmed candidate set is empty for T={t}, eps={spec.trim_fraction}")
+        return [empty] * len(engine.panels)
+    fast, rank_failures, reps = {}, {}, range(len(engine.panels))
+    for fits in engine.fits(reps, [candidates] * len(reps), ProjectorMode.TESTING):
         stats, singular = _wald_stats(fits, hac)
-        fast.update((b, w) for j, (b, w) in enumerate(zip(fits.dates, stats.tolist())) if j not in singular)
+        fast.update((pair, w) for j, (pair, w) in enumerate(zip(fits.pairs, stats.tolist())) if j not in singular)
         rank_failures.update(fits.excluded)
-    dates, values, excluded = [], [], []
-    last_error = None
-    for b in candidates:
-        if b in rank_failures:
-            excluded.append(b)
-            last_error = rank_failures[b]
-            continue
-        try:
-            # A date the engine could not decide gets the reference value or error.
-            values.append(fast[b] if b in fast else wald_at(panel, spec, b, hac))
-            dates.append(b)
-        except (RankConditionFailure, SingularCovariance) as err:
-            excluded.append(b)
-            last_error = str(err)  # not err: its traceback would keep this frame's arrays alive
-    if not dates:
-        raise RankConditionFailure(
-            f"every candidate failed the rank condition: {last_error}"
+        del fits  # its rows go before the next chunk's are made
+
+    def decide(s: int) -> WaldResult:
+        """Panel ``s``'s result from the stack's Wald values and rank exclusions."""
+        panel = engine.panels[s]
+        dates, values, excluded, last_error = [], [], [], None
+        for b in candidates:
+            if (s, b) in rank_failures:
+                excluded.append(b)
+                last_error = rank_failures[s, b]
+                continue
+            try:
+                # A date the engine could not decide gets the reference value or error.
+                values.append(fast[s, b] if (s, b) in fast else wald_at(panel, spec, b, hac))
+                dates.append(b)
+            except (RankConditionFailure, SingularCovariance) as err:
+                excluded.append(b)
+                last_error = str(err)  # not err: its traceback would keep this frame's arrays alive
+        if not dates:
+            raise RankConditionFailure(f"every candidate failed the rank condition: {last_error}")
+        sw_index = int(np.argmax(values))
+        sw = values[sw_index]
+        critical = sw_critical if sw_critical is not None else sup_bessel_critical(
+            spec.n_breaking, spec.trim_fraction, alpha)
+        return WaldResult(
+            candidate_dates=tuple(dates), wald_values=tuple(values), sw=sw, sw_critical=critical,
+            chi2_critical=chi_squared_quantile(spec.n_breaking, 1.0 - alpha), reject_sw=bool(sw > critical),
+            argmax_date=dates[sw_index], trim_fraction=spec.trim_fraction, r=spec.n_breaking, alpha=alpha,
+            excluded_dates=tuple(excluded),
         )
-    sw_index = int(np.argmax(values))
-    sw = values[sw_index]
-    if sw_critical is None:
-        sw_critical = sup_bessel_critical(spec.n_breaking, spec.trim_fraction, alpha)
-    chi2_crit = chi_squared_quantile(spec.n_breaking, 1.0 - alpha)
-    return WaldResult(
-        candidate_dates=tuple(dates),
-        wald_values=tuple(values),
-        sw=sw,
-        sw_critical=sw_critical,
-        chi2_critical=chi2_crit,
-        reject_sw=bool(sw > sw_critical),
-        argmax_date=dates[sw_index],
-        trim_fraction=spec.trim_fraction,
-        r=spec.n_breaking,
-        alpha=alpha,
-        excluded_dates=tuple(excluded),
-    )
+
+    return [_attempt(decide, s) for s in reps]
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,11 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import panelbreak
 from panelbreak import DgpConfig, PanelData, SimConfig, generate, limits
@@ -263,7 +265,10 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "sim.cfg: not UTF-8 text" in err
 
-    @pytest.mark.parametrize("line", ["factor_rho = 2", "factor_rho = -1", "eps_variance_range = 1", "beta = 1,nan"])
+    @pytest.mark.parametrize("line", [
+        "factor_rho = 2", "factor_rho = -1", "eps_variance_range = 1", "beta = 1,nan", "seed = -1", "m = -1",
+        "loading_mean = nan", "loading_scale = inf", "v_scale = nan", "eps_variance_range = 0.5,inf",
+    ])
     def test_invalid_design_is_usage_error(self, capsys, tmp_path, line):
         cfg = tmp_path / "sim.cfg"
         cfg.write_text(f"n_units = 30\nn_periods = 10\nreps = 2\n{line}\n")
@@ -473,3 +478,95 @@ def test_blas_thread_count_changes_no_decision(long_csv):
     assert len(json.loads(one)["stages"]["breaks"]) == 2
     assert one == run("detect", "2")
     assert run("test", "1") == run("test", "2")
+
+
+def test_blas_thread_count_changes_no_simulate_byte():
+    # The mc design's simulate report with one and with two OpenBLAS threads: the same bytes.
+    src = os.path.dirname(os.path.dirname(panelbreak.__file__))
+    config = "n_units = 200\nn_periods = 10\nb0 = 5\ndelta = 0.35\nseed = 401\nreps = 30\npipeline = FULL\n"
+
+    def run(threads, path):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        argv = [sys.executable, "-m", "panelbreak.cli", "simulate", "--config", path, "--format", "json"]
+        return subprocess.run(argv, env=env, capture_output=True, check=True).stdout
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "mc.cfg")
+        with open(path, "w") as handle:
+            handle.write(config)
+        one = run("1", path)
+        assert json.loads(one)["replications"] == 30
+        assert one == run("2", path)
+
+
+def _valid_inputs():
+    """A small panel CSV, its common-regressor CSV and a simulate config, as bytes."""
+    cfg = DgpConfig(n_units=8, n_periods=12, b0=6, delta=(1.5,), seed=5)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "p.csv")
+        write_panel_csv(generate(cfg)[0], path)
+        with open(path, "rb") as handle:
+            panel = handle.read()
+    common = "time,d1\n" + "".join(f"{t},{np.sin(t):.6f}\n" for t in range(1, 13))
+    config = "n_units = 20\nn_periods = 8\nb0 = 4\nreps = 2\nseed = 3\nalpha = 0.05\nfactor_rho = 0.5\n"
+    return {"panel": panel, "common": common.encode(), "config": config.encode()}
+
+
+VALID_INPUTS = _valid_inputs()
+# Config values out of their range or not finite: each is a fault of the file.
+BAD_CONFIG_LINES = [
+    "n_units = 1", "n_periods = 1", "k = 0", "r = 0", "r = 3", "m = 2", "m = -1", "b0 = 0", "b0 = 100",
+    "reps = 0", "seed = -1", "pipeline = GUESS", "beta = 1", "delta = 1,2",
+    *(f"{key} = {value}" for key in ("alpha", "factor_rho", "loading_mean", "loading_scale", "v_scale", "delta")
+      for value in ("nan", "inf", "-inf")),
+    "factor_rho = 1", "alpha = 1.5", "alpha = 0", "eps_variance_range = 2,1", "eps_variance_range = 0.5,inf",
+    "eps_variance_range = -1,1", "eps_variance_range = 1", "beta = 1,nan",
+]
+
+
+@st.composite
+def mutated_input(draw):
+    """(kind, bytes, fault): a valid file with one byte-level mutation; ``fault`` when it surely breaks the file."""
+    kind = draw(st.sampled_from(sorted(VALID_INPUTS)))
+    data = VALID_INPUTS[kind]
+    at = draw(st.integers(0, len(data)))
+    mutation = draw(st.sampled_from(["utf8", "nul", "truncate", "huge", "header" if kind != "config" else "value"]))
+    if mutation == "utf8":  # a byte that starts, or is, no UTF-8 sequence
+        return kind, data[:at] + draw(st.sampled_from([b"\xff", b"\xe9", b"\xc3", b"\xed\xa0\x80"])) + data[at:], True
+    if mutation == "nul":  # a regressor's name in the common header may hold any character
+        return kind, data[:at] + b"\x00" + data[at:], not (kind == "common" and 5 <= at <= data.index(b"\n"))
+    if mutation == "truncate":  # a cut at a line end may leave a valid file
+        return kind, data[:at], False
+    if mutation == "huge":  # a field over csv's limit, or a long config value, which may still be a number
+        return kind, data[:at] + b"7" * 200_000 + data[at:], kind != "config"
+    if mutation == "value":
+        return kind, data + draw(st.sampled_from(BAD_CONFIG_LINES)).encode() + b"\n", True
+    header, rest = data.split(b"\n", 1)
+    names = header.split(b",")
+    j = draw(st.integers(0, len(names) - 1))
+    dropped = names[:j] + names[j + 1 :]
+    changed = draw(st.sampled_from([[], dropped, dropped + [names[j - 1]], dropped[:1] + dropped]))
+    # Without its header the first record is read as one. A common file may lose a regressor's name.
+    fault = not (kind == "common" and changed == dropped and names[j] != b"time")
+    return kind, (b",".join(changed) + b"\n" if changed else b"") + rest, fault
+
+
+@settings(max_examples=50, deadline=None)
+@given(mutated_input())
+def test_mutated_input_files_exit_cleanly(mutated):
+    # Any byte-level damage to an input file ends in an exit code, never a traceback,
+    # and damage that surely breaks the file is a usage error.
+    kind, data, fault = mutated
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: os.path.join(tmp, name) for name in VALID_INPUTS}
+        for name, valid in VALID_INPUTS.items():
+            with open(paths[name], "wb") as handle:
+                handle.write(data if name == kind else valid)
+        if kind == "config":
+            argv = ["simulate", "--config", paths["config"]]
+        else:
+            argv = ["detect", *base_args(paths["panel"]), "--common-input", paths["common"]]
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_STATISTICAL)
+    if fault:
+        assert code == EXIT_USAGE

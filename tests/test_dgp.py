@@ -1,13 +1,20 @@
 """The synthetic factor-model generator and the experiment runner."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from panelbreak import DgpConfig, dgp, generate, run_experiment
+from panelbreak import DgpConfig, PanelData, dgp, estimator, fit_break, generate, run_experiment, sup_wald, wald
 from panelbreak.dgp import _ar1_factors
-from panelbreak.exceptions import ConfigInvariantViolation, ExperimentError, RankConditionFailure
+from panelbreak.exceptions import (
+    ConfigInvariantViolation,
+    ExperimentError,
+    RankConditionFailure,
+    RankDeficientDesign,
+    ZeroBreakMagnitude,
+)
 
 
 def noiseless(**kwargs):
@@ -183,7 +190,7 @@ class TestRunExperiment:
         assert cce_fit_calls == []
 
     def test_failed_replication_counts_in_no_metric(self, monkeypatch):
-        lengths, calls = [], []
+        lengths = []
         rate, test = dgp._rate, dgp._sup_wald
 
         def spy_rate(flags):
@@ -191,10 +198,9 @@ class TestRunExperiment:
             return rate(flags)
 
         def test_failing_once(*args, **kwargs):
-            calls.append(None)
-            if len(calls) == 2:
-                raise RankConditionFailure("injected")
-            return test(*args, **kwargs)
+            results = test(*args, **kwargs)  # one call per stack: the second replication's test raised
+            results[1] = RankConditionFailure("injected")
+            return results
 
         monkeypatch.setattr(dgp, "_rate", spy_rate)
         monkeypatch.setattr(dgp, "_sup_wald", test_failing_once)
@@ -215,3 +221,78 @@ class TestRunExperiment:
     def test_bad_pipeline(self):
         with pytest.raises(ConfigInvariantViolation):
             run_experiment(DgpConfig(), pipeline="GUESS", reps=1)
+
+
+def _bits(outcome):
+    """An outcome in comparable form: an error by type and message, arrays and floats by their bits."""
+    if isinstance(outcome, Exception):
+        return type(outcome), str(outcome)
+    if dataclasses.is_dataclass(outcome):
+        return _bits(tuple(getattr(outcome, f.name) for f in dataclasses.fields(outcome)))
+    if isinstance(outcome, (tuple, list)):
+        return tuple(_bits(item) for item in outcome)
+    if isinstance(outcome, np.ndarray):
+        return outcome.dtype.str, outcome.shape, outcome.tobytes()
+    return outcome.hex() if isinstance(outcome, float) else outcome
+
+
+def _guard_path_panels():
+    """200 x 10 panels, one down each guard path."""
+    config = DgpConfig(n_units=200, n_periods=10, b0=5, delta=(0.35,), seed=0)
+    ordinary = generate(config)[0]  # b = 1 is rank-deficient in the testing engine
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((200, 10, 2))
+    post = np.arange(1, 11) > 5
+    exact = PanelData(y=x @ np.ones(2) + 2.0 * x[:, :, 1] * post, x=x)  # a near-exact fit at b = 5
+    collinear = PanelData(y=ordinary.y, x=np.stack([x[:, :, 0], 2.0 * x[:, :, 0]], axis=2))  # the X̃ Gram fails
+    tied = x.copy()
+    tied[:, 3:7, 1] = 0.0  # Z(b) and the SSR are the same for b = 3..7
+    tie = PanelData(y=tied @ np.ones(2) + 2.0 * tied[:, :, 1] * post + 0.1 * rng.standard_normal((200, 10)), x=tied)
+    zero = PanelData(y=np.zeros((200, 10)), x=x)  # delta-hat is zero, so the interval raises
+    return [ordinary, exact, collinear, tie, zero], config.break_spec()
+
+
+def _stages(engine):
+    """Each panel's interval stage, test stage and TESTING fit at b = 5, in that order."""
+    n = len(engine.panels)
+    return list(zip(
+        estimator._intervals(engine, 0.05, 11.0),
+        wald._sup_wald(engine, None, 0.05, 8.85),
+        engine.fit(range(n), [5] * n, estimator.ProjectorMode.TESTING),
+    ))
+
+
+def test_each_stack_member_gets_what_it_gets_alone():
+    panels, spec = _guard_path_panels()
+    together = _stages(estimator.ProfileEngine(panels, spec))
+    for panel, got in zip(panels, together):
+        assert _bits(got) == _bits(_stages(estimator.ProfileEngine([panel], spec))[0])
+    intervals, tests, _ = zip(*together)
+    assert 1 in tests[0].excluded_dates
+    assert isinstance(intervals[2], RankDeficientDesign) and isinstance(intervals[4], ZeroBreakMagnitude)
+    assert len(set(intervals[3][0].ssr_values[2:7])) == 1
+
+
+@pytest.mark.parametrize("reps", [1, 24, 25, 26, 51])
+def test_stacked_experiment_is_the_replications_one_at_a_time(reps):
+    config = DgpConfig(n_units=50, n_periods=10, b0=5, delta=(0.35,), seed=7)
+    spec, c_alpha, sw_critical = config.break_spec(), 11.0, 8.85
+    hits, abs_errors, covered, widths, rejections = [], [], [], [], []
+    for seed in np.random.SeedSequence(config.seed).spawn(reps):
+        panel = generate(config, seed=seed)[0]
+        fit = fit_break(panel, spec, 0.05, c_alpha)
+        result = sup_wald(panel, spec, alpha=0.05, sw_critical=sw_critical)
+        hits.append(fit.b_hat == config.b0)
+        abs_errors.append(abs(fit.b_hat - config.b0))
+        covered.append(fit.ci_lower <= config.b0 <= fit.ci_upper)
+        widths.append(fit.ci_upper - fit.ci_lower + 1)
+        rejections.append(result.reject_sw)
+    metrics = {
+        "exact_hit_rate": dgp._rate(hits),
+        "mean_abs_date_error": dgp._mean(abs_errors),
+        "ci_coverage": dgp._rate(covered),
+        "ci_mean_width": dgp._mean(widths),
+        "rejection_rate": dgp._rate(rejections),
+    }
+    report = run_experiment(config, "FULL", reps=reps, c_alpha=c_alpha, sw_critical=sw_critical)
+    assert report.to_json() == dgp.ExperimentReport(reps, "FULL", metrics, 0).to_json()

@@ -371,10 +371,10 @@ class TestCarriedFit:
         cases += [exact_break_panel(rng, n=10, t=20, b0=10), exact_tie_panel(rng)]
         fitted = 0
         for panel, spec in cases:
-            carried = ProfileEngine(panel, spec)
-            profile = carried.profile()
-            b_hat = profile.b_hat
-            got, got_err = self.outcome(_interval, panel, spec, b_hat, 0.05, 11.0, carried)
+            carried = ProfileEngine([panel], spec)
+            b_hat = carried.profiles()[0].b_hat
+            carried_fit = carried.fit([0], [b_hat], ProjectorMode.ESTIMATION)[0]
+            got, got_err = self.outcome(_interval, panel, spec, b_hat, 0.05, 11.0, carried_fit)
             want, want_err = self.outcome(_interval, panel, spec, b_hat, 0.05, 11.0)  # refits with cce_fit
             assert got_err == want_err
             if want_err is not None:

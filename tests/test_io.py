@@ -194,6 +194,23 @@ class TestReadPanel:
         with pytest.raises(InputError, match=r"p\.csv:4: field larger than field limit"):
             read_panel_rows(path, y="y", x_names=["x1"])
 
+    def test_both_readers_refuse_a_quoted_field_over_the_csv_limit_across_lines(self, tmp_path):
+        # 4,000 lines of 50 characters in one quoted field: no line passes the limit, the field does.
+        path = tmp_path / "p.csv"
+        note = "\n".join(["a" * 50] * 4000)
+        write_csv(path, ["unit,time,y,x1,x2,note", f'a,1,1.0,0.5,0.2,"{note}"', "b,1,1.0,0.5,0.2,x"])
+        with pytest.raises(InputError, match=r"p\.csv:2: field larger than field limit \(131072\)"):
+            read_panel_rows(path, y="y", x_names=["x1", "x2"])
+        with pytest.raises(InputError, match=r"p\.csv:2: field larger than field limit \(131072\)"):
+            io._read_records(path, [0, 1, 2, 3, 4], 2)
+
+    def test_quotes_within_lines_keep_numpy_reading(self, tmp_path):
+        path = tmp_path / "p.csv"
+        write_csv(path, ["unit,time,y,x1", '"a, b",1,1.0,0.5', '"a ""c""",1,2.0,0.25', "d,1,3.0,0.125"])
+        with mock.patch.object(io, "_read_records", side_effect=AssertionError("record reader used")):
+            rows = read_panel_rows(path, y="y", x_names=["x1"])
+        assert list(rows) == [("a, b", 1, 1.0, 0.5), ('a "c"', 1, 2.0, 0.25), ("d", 1, 3.0, 0.125)]
+
     def test_repeated_common_column_is_an_input_error(self, tmp_path):
         path = tmp_path / "d.csv"
         write_csv(path, ["time,d,d", "1,0.5,0.7", "2,1.0,1.2"])

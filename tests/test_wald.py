@@ -227,8 +227,8 @@ class TestRankExclusion:
         cases.append((generate(config)[0], config.break_spec()))
         checked = 0
         for panel, spec in cases:
-            for fits in estimator.ProfileEngine(panel, spec).fits(trimmed_candidates(spec, panel.n_periods), ProjectorMode.TESTING):
-                for b, message in fits.excluded.items():
+            for fits in estimator.ProfileEngine([panel], spec).fits([0], [trimmed_candidates(spec, panel.n_periods)], ProjectorMode.TESTING):
+                for (_, b), message in fits.excluded.items():
                     with pytest.raises(RankConditionFailure) as err:
                         wald_at(panel, spec, b)
                     assert str(err.value) == message
