@@ -16,7 +16,7 @@ from .estimator import (
     ssr_at,
 )
 from .limits import SimConfig, argmax_quantile, sup_bessel_critical
-from .linalg import Projector, cross_sectional_average
+from .linalg import basis, cross_sectional_average
 from .panel import (
     BreakSpec,
     PanelData,
@@ -46,12 +46,12 @@ __all__ = [
     "HacConfig",
     "Kernel",
     "PanelData",
-    "Projector",
     "ProjectorMode",
     "SimConfig",
     "SsrProfile",
     "WaldResult",
     "argmax_quantile",
+    "basis",
     "build_panel",
     "cce_fit",
     "confidence_interval",

@@ -7,16 +7,16 @@ panels that share N, T, k and the spec (one panel is a stack of one) at
 any (panel, date) pairs of both modes, by Frisch-Waugh in sequence.
 Stage 1, once per panel: y and X partialled on Q0 = span(D, X̄), then ỹ on
 X̃; suffix sums over t > b give the Gram of [ry, X̃, M_Q0 Z(b)] at each
-date (ESTIMATION). Stage 2, per TESTING pair: a basis Q1(b) of
-M_Q0 [D(b), X̄R(b)] takes its per-unit products off that Gram. SSR(b) is a
-Schur complement; rows of length NT are made only where the HAC or the
-interval reads them. A pair goes to ``cce_fit`` when its Gram is
-ill-conditioned, small or lost digits to stage 2, its fit is near-exact
-or ties for its panel's minimum SSR, or its stage-2 rank is not the full
-proxy set's. A panel's arrays are slices of the stack's, so its numbers
-do not depend on the stack, unless its [D, X̄] has a lower rank than
-another panel's, when its Q0 carries zero columns. A chunk of rows holds
-the dates of one panel, or one date each of many.
+date (ESTIMATION). Stage 2, per TESTING pair: ``cce_fit``'s own basis Q(b)
+of [D, D(b), X̄, X̄R(b)], whose span holds Q0's, takes its per-unit
+products off that Gram. Every basis comes from ``linalg.basis``. SSR(b)
+is a Schur complement; rows of length NT are made only where the HAC or
+the interval reads them. A pair goes to ``cce_fit`` when its Gram is
+ill-conditioned, small or lost digits to stage 2, or its fit is
+near-exact or ties for its panel's minimum SSR. A panel's numbers do not
+depend on its stack or chunk, unless its proxy set has a lower rank than
+another's there, when its basis carries zero columns. A chunk of rows
+holds the dates of one panel, or one date each of many.
 """
 
 from __future__ import annotations
@@ -31,18 +31,13 @@ from .exceptions import (
     DegenerateScale,
     EmptyCandidateSet,
     InputError,
-    NonFiniteInput,
     PanelBreakError,
     RankConditionFailure,
     RankDeficientDesign,
     ZeroBreakMagnitude,
 )
 from .limits import argmax_quantile
-from .linalg import (
-    Projector,
-    compensated_sum_of_squares,
-    cross_sectional_average,
-)
+from .linalg import basis, compensated_sum_of_squares, cross_sectional_average
 from .panel import (
     BreakSpec,
     PanelData,
@@ -69,19 +64,18 @@ def _scaled_rank(singular_values, shape, data_scale: float) -> int:
 
 def projection_columns(panel: PanelData, spec: BreakSpec, b: int, mode: ProjectorMode):
     """Factor-proxy columns to project out of the time dimension."""
-    xbar = cross_sectional_average(panel)
-    blocks = []
-    if panel.d is not None:
-        blocks.append(panel.d)
-    if mode is ProjectorMode.TESTING:
-        mask = post_break_mask(panel.n_periods, b).astype(float)[:, None]
-        if panel.d is not None:
-            blocks.append(panel.d * mask)
-        blocks.append(xbar)
-        blocks.append((xbar @ spec.selection) * mask)
-    else:
-        blocks.append(xbar)
-    return np.hstack(blocks)
+    post = post_break_mask(panel.n_periods, b) if mode is ProjectorMode.TESTING else None
+    return _proxies(panel.d, cross_sectional_average(panel), spec.selection, post)
+
+
+def _proxies(d, xbar, selection, post=None):
+    """[D, X̄], or [D, D(b), X̄, X̄R(b)] given the post-break mask ``post``: one set (T, .)
+    or a stack (..., T, .) of them; ``d`` may be None."""
+    if post is None:
+        return xbar if d is None else np.concatenate([d, xbar], axis=-1)
+    mask = post[..., None]
+    blocks = [] if d is None else [d, d * mask]
+    return np.concatenate(blocks + [xbar, (xbar @ selection) * mask], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -115,8 +109,7 @@ def cce_fit(panel: PanelData, spec: BreakSpec, b: int, mode: ProjectorMode) -> C
     """
     n, t, k = panel.x.shape
     r = spec.n_breaking
-    proj = Projector.from_columns(projection_columns(panel, spec, b, mode), t)
-    q = proj.q
+    q = basis(projection_columns(panel, spec, b, mode))
     yt = panel.y - (panel.y @ q) @ q.T
     xt = panel.x - np.einsum("inq,tq->int", np.tensordot(panel.x, q, axes=(1, 0)), q).transpose(0, 2, 1)
     z = z_regressors(panel, spec, b)
@@ -256,15 +249,9 @@ class ProfileEngine:
         n, t, k = self.panels[0].x.shape
         r = spec.n_breaking
         self._deferred = np.zeros((len(self.panels), t), dtype=bool)  # [s, b]: panel s's date b goes to cce_fit
-        self._fixed = fixed = np.stack([projection_columns(p, spec, 0, ProjectorMode.ESTIMATION) for p in self.panels])
-        if not np.all(np.isfinite(fixed)):
-            raise NonFiniteInput("annihilator basis contains non-finite values")
-        # Q0: Projector.from_columns's basis of D, X̄, as wide as the largest rank and zero past each panel's.
-        u, sv, _ = np.linalg.svd(fixed, full_matrices=False)
-        keep = sv > max(fixed.shape[1:]) * np.finfo(float).eps * sv[:, :1]
-        self._rank0 = keep.sum(axis=1)
-        self._q0 = q0 = (u * keep[:, None, :])[..., : self._rank0.max()]
-        self._moving = np.concatenate([fixed[..., :-k], fixed[..., -k:] @ spec.selection], axis=2)  # D(b), X̄R(b)
+        self._d = None if self.panels[0].d is None else np.stack([p.d for p in self.panels])
+        self._xbar = np.stack([cross_sectional_average(p) for p in self.panels])
+        self._q0 = q0 = basis(_proxies(self._d, self._xbar, spec.selection))  # span(D, X̄)
         # Stage 1: [y, X, XR] time-major, then y and X partialled on Q0 and ỹ on X̃: [ry, X̃, XR].
         self._data = data = np.empty((len(self.panels), 1 + k + r, t, n))
         for s, panel in enumerate(self.panels):
@@ -347,19 +334,12 @@ class ProfileEngine:
         full = self._suffix[at, dates]  # with Z(b) before partialling; [ry, X̃] sum over all t
         full[:, : p - r, : p - r] = self._suffix[at, 0, : p - r, : p - r]
         ok = self._ok[at] & (testing | ~self._deferred[at, dates])
-        if qzz is None:  # each pair's Q0, to be followed by Q1(b) in TESTING
-            bases = q0 = self._q0[at]
-        if testing:  # stage 2: add Q1(b), a basis of M_Q0 [D(b), X̄R(b)], to Q0
-            moving = self._moving[at] * post[:, :, None]
-            cols = np.concatenate([self._fixed[at], moving], axis=2)
-            s_all = np.linalg.svd(cols, compute_uv=False)
-            cutoff = max(cols.shape[1:]) * np.finfo(float).eps * s_all[:, :1]  # Projector.from_columns's
-            for _ in range(2):  # twice, so that Q1 is orthogonal to Q0 to working precision
-                moving -= q0 @ (q0.transpose(0, 2, 1) @ moving)
-            q1, s, _ = np.linalg.svd(moving, full_matrices=False)
-            ok &= np.sum(s_all > cutoff, axis=1) == self._rank0[at] + np.sum(s > cutoff, axis=1)
-            bases = np.concatenate([bases, q1 * (s > cutoff)[:, None, :]], axis=2)
-        if qzz is None:  # per unit, [Q0, Q1]'[ry, X̃, Z(b)], a panel at a time
+        if testing:  # stage 2: cce_fit's basis Q(b) of [D, D(b), X̄, X̄R(b)]; its span holds Q0's
+            d = None if self._d is None else self._d[at]
+            bases = basis(_proxies(d, self._xbar[at], self.spec.selection, post))
+        elif qzz is None:
+            bases = self._q0[at]
+        if qzz is None:  # per unit, Q'[ry, X̃, Z(b)], a panel at a time
             qt = bases.transpose(0, 2, 1).reshape(*shape, 1, -1, t)
             v = np.empty((*shape, p, bases.shape[2], n))
             for i, s in enumerate(reps.tolist()):

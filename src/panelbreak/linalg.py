@@ -1,17 +1,19 @@
-"""Projection algebra: cross-sectional averages, projector bases, sums of squares.
+"""Projection algebra: cross-sectional averages, factor-proxy bases, sums of squares.
 
-An annihilator I - QQ' is applied as composed products (two thin matrix
-multiplies) with the orthonormal basis Q, never as a T x T matrix.
+``basis`` is the one place that decides which singular values of a
+factor-proxy set count: ``cce_fit`` and the profile engine take every
+basis from it. An annihilator I - QQ' is applied as composed products
+(two thin matrix multiplies) with the orthonormal basis Q, never as a
+T x T matrix.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import InputError, NonFiniteInput
+from .exceptions import NonFiniteInput
 from .panel import PanelData
 
 
@@ -29,34 +31,18 @@ def compensated_sum_of_squares(values: np.ndarray) -> float:
     return math.fsum((values.ravel() ** 2).tolist())
 
 
-@dataclass(frozen=True)
-class Projector:
-    """Orthonormal basis of the column span of a T x q basis.
+def basis(columns: np.ndarray) -> np.ndarray:
+    """Orthonormal bases of the column spans of a T x q set, or of a stack (..., T, q) of them.
 
-    Q comes from a rank-revealing SVD with cutoff
-    max(T, q) * eps * sigma_max, so I - QQ' is the Moore-Penrose residual
-    maker even for rank-deficient bases.
+    One SVD per set with the cutoff max(T, q) * eps * sigma_max, so I - QQ'
+    is the Moore-Penrose residual maker even for a rank-deficient set. The
+    result is as wide as the largest rank in the stack, with zero columns
+    past each set's own rank; a set taken alone has no zero columns.
     """
-
-    q: np.ndarray  # T x effective rank, orthonormal columns
-
-    @classmethod
-    def from_columns(cls, columns: np.ndarray | None, n_rows: int) -> "Projector":
-        if columns is None or columns.size == 0:
-            empty = np.empty((n_rows, 0))
-            empty.setflags(write=False)
-            return cls(q=empty)
-        cols = np.asarray(columns, dtype=float)
-        if cols.ndim != 2 or cols.shape[0] != n_rows:
-            raise InputError(f"basis must be {n_rows} x q")
-        if not np.all(np.isfinite(cols)):
-            raise NonFiniteInput("annihilator basis contains non-finite values")
-        u, s, _ = np.linalg.svd(cols, full_matrices=False)
-        if s.size:
-            cutoff = max(cols.shape) * np.finfo(float).eps * s[0]
-            rank = int(np.sum(s > cutoff))
-        else:
-            rank = 0
-        q = u[:, :rank].copy()
-        q.setflags(write=False)
-        return cls(q=q)
+    cols = np.asarray(columns, dtype=float)
+    if not np.all(np.isfinite(cols)):
+        raise NonFiniteInput("annihilator basis contains non-finite values")
+    u, s, _ = np.linalg.svd(cols, full_matrices=False)
+    keep = s > max(cols.shape[-2:]) * np.finfo(float).eps * s[..., :1]
+    width = int(keep.sum(axis=-1).max(initial=0))
+    return np.where(keep[..., None, :width], u[..., :width], 0.0)

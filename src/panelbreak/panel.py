@@ -173,12 +173,12 @@ def _check_shape(n_rows: int, width: int) -> None:
 
 
 def _first_unconvertible(rows):
-    """Index of the first row whose values numpy cannot read as floats, and its error."""
+    """Index of the first row whose values numpy cannot read as floats, and an error naming it."""
     for i, row in enumerate(rows):
         try:
             np.asarray(row[2:], dtype=float)
         except (ValueError, TypeError) as err:
-            return i, err
+            return i, InputError(f"unreadable value at {row[:2]}: {err}")
     return len(rows), None
 
 
@@ -272,7 +272,10 @@ def _assemble_panel(units, times, values, common_rows=None, intercept=False, pen
             time = row[0]
             if time in common:
                 raise DuplicateObservation(f"duplicate common row for time {time}")
-            vals = np.asarray(row[1:], dtype=float)
+            try:
+                vals = np.asarray(row[1:], dtype=float)
+            except (ValueError, TypeError) as err:
+                raise InputError(f"unreadable common regressor at time {time}: {err}") from None
             if not np.all(np.isfinite(vals)):
                 raise NonFiniteValue(f"non-finite common regressor at time {time}")
             common[time] = vals

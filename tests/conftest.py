@@ -135,7 +135,10 @@ def reference_build_panel(raw_rows, common_rows=None, intercept=False):
         unit, time = row[0], row[1]
         if (unit, time) in cells:
             raise DuplicateObservation(f"duplicate observation for {(unit, time)}")
-        vals = np.asarray(row[2:], dtype=float)
+        try:
+            vals = np.asarray(row[2:], dtype=float)
+        except (ValueError, TypeError) as err:
+            raise InputError(f"unreadable value at {(unit, time)}: {err}") from None
         if not np.all(np.isfinite(vals)):
             raise NonFiniteValue(f"non-finite value at {(unit, time)}")
         cells[(unit, time)] = vals
@@ -169,7 +172,10 @@ def reference_build_panel(raw_rows, common_rows=None, intercept=False):
             time = row[0]
             if time in common:
                 raise DuplicateObservation(f"duplicate common row for time {time}")
-            vals = np.asarray(row[1:], dtype=float)
+            try:
+                vals = np.asarray(row[1:], dtype=float)
+            except (ValueError, TypeError) as err:
+                raise InputError(f"unreadable common regressor at time {time}: {err}") from None
             if not np.all(np.isfinite(vals)):
                 raise NonFiniteValue(f"non-finite common regressor at time {time}")
             common[time] = vals

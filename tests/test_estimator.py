@@ -33,7 +33,8 @@ from panelbreak.exceptions import (
     StatisticalError,
     ZeroBreakMagnitude,
 )
-from panelbreak.panel import estimation_candidates
+from panelbreak.linalg import basis
+from panelbreak.panel import estimation_candidates, testing_candidates as trimmed_candidates
 
 from conftest import (
     acceptance_01_cases,
@@ -424,3 +425,68 @@ def test_strong_factors_send_no_more_dates_to_cce_fit(cce_fit_calls, scale, n_es
     cce_fit_calls.clear()
     assert sup_wald(panel, spec, sw_critical=8.85).argmax_date == 120
     assert len(cce_fit_calls) == n_testing
+
+
+class TestTestingBasis:
+    """Every TESTING pair of the engine projects with ``cce_fit``'s own basis, bit for bit."""
+
+    @staticmethod
+    def stacks(rng):
+        spec = BreakSpec.from_indices(2, [1])
+        for d_cols in (0, 1, 2):
+            yield [random_panel(rng, n=5, t=12, d_cols=d_cols)], spec
+            yield [random_panel(rng, n=5, t=12, d_cols=d_cols) for _ in range(3)], spec
+        col = rng.standard_normal((12, 1))
+        collinear = random_panel(rng, n=5, t=12)
+        collinear = PanelData(y=collinear.y, x=collinear.x, d=np.hstack([col, 2.0 * col]))
+        yield [collinear], spec
+        yield [random_panel(rng, n=5, t=12, d_cols=2), collinear, random_panel(rng, n=5, t=12, d_cols=2)], spec
+        # T = 7 and seven proxy columns: [D, D(b), X̄, X̄R(b)] has rank T at the inner dates.
+        yield [random_panel(rng, n=5, t=7, d_cols=2)], spec
+        yield [random_panel(rng, n=5, t=7, d_cols=2) for _ in range(3)], spec
+
+    def test_every_pair_passes_cce_fits_columns_and_gets_its_basis(self, rng, monkeypatch):
+        full_rank = 0
+        for panels, spec in self.stacks(rng):
+            engine, reps = ProfileEngine(panels, spec), range(len(panels))
+            dates = trimmed_candidates(spec, panels[0].n_periods)
+            seen = []
+
+            def recorded(columns):
+                seen.append((columns, basis(columns)))
+                return seen[-1][1]
+
+            monkeypatch.setattr(estimator, "basis", recorded)  # after Q0's
+            # A panel's dates a chunk at a time, then one date of every panel per chunk.
+            pairs = [(s, b) for s in reps for b in dates] + [(s, b) for b in dates for s in reps]
+            list(engine.fits(reps, [dates] * len(panels), ProjectorMode.TESTING))
+            for b in dates:
+                list(engine.fits(reps, [[b]] * len(panels), ProjectorMode.TESTING))
+            monkeypatch.undo()
+            got = [(columns, q) for chunk_columns, chunk_q in seen for columns, q in zip(chunk_columns, chunk_q)]
+            assert len(got) == len(pairs)
+            for (s, b), (columns, q) in zip(pairs, got):
+                want = estimator.projection_columns(panels[s], spec, b, ProjectorMode.TESTING)
+                assert columns.shape == want.shape and columns.tobytes() == want.tobytes()  # sign bits included
+                alone = basis(want)
+                rank = alone.shape[1]
+                assert q[:, :rank].tobytes() == alone.tobytes()
+                assert q[:, rank:].tobytes() == np.zeros((q.shape[0], q.shape[1] - rank)).tobytes()
+                full_rank += rank == panels[s].n_periods
+        assert full_rank > 0
+
+    def test_one_svd_per_testing_chunk(self, rng, monkeypatch):
+        panel, spec = random_panel(rng, n=40, t=30, d_cols=2), BreakSpec.from_indices(2, [1])
+        svd, calls = np.linalg.svd, []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        monkeypatch.setattr(estimator, "_CHUNK_BYTES", 8 * 2 * 30 * 40 * 4)  # four dates per chunk
+        engine = ProfileEngine([panel], spec)
+        calls.clear()  # Q0's
+        chunks = list(engine.fits([0], [trimmed_candidates(spec, 30)], ProjectorMode.TESTING))
+        assert len(chunks) == 6 and all(not fits.excluded for fits in chunks)
+        assert calls == [(4, 30, 7)] * 5 + [(2, 30, 7)]

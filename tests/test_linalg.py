@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from panelbreak import PanelData, Projector, cross_sectional_average
-from panelbreak.exceptions import InputError, NonFiniteInput
+from panelbreak import PanelData, basis, cross_sectional_average
+from panelbreak.exceptions import NonFiniteInput
 from panelbreak.linalg import compensated_sum_of_squares
 
 from conftest import oracle_annihilator, random_panel
@@ -35,51 +35,67 @@ class TestCrossSectionalAverage:
         assert cross_sectional_average(panel).shape == (9, 3)
 
 
-def residual_maker(cols, t):
-    q = Projector.from_columns(cols, t).q
-    return np.eye(t) - q @ q.T
+def residual_maker(cols):
+    q = basis(cols)
+    return np.eye(len(cols)) - q @ q.T
 
 
 class TestAnnihilator:
     def test_demeaning_two_periods(self):
-        assert np.allclose(residual_maker(np.ones((2, 1)), 2), np.array([[0.5, -0.5], [-0.5, 0.5]]))
+        assert np.allclose(residual_maker(np.ones((2, 1))), np.array([[0.5, -0.5], [-0.5, 0.5]]))
 
     def test_annihilates_own_columns(self, rng):
         cols = rng.standard_normal((10, 3))
-        assert np.allclose(residual_maker(cols, 10) @ cols, 0.0, atol=1e-12)
+        assert np.allclose(residual_maker(cols) @ cols, 0.0, atol=1e-12)
 
     def test_empty_basis_is_identity(self):
-        for cols in (None, np.empty((6, 0))):
-            proj = Projector.from_columns(cols, 6)
-            assert proj.q.shape == (6, 0)
-            assert np.array_equal(residual_maker(cols, 6), oracle_annihilator(cols, 6))
+        cols = np.empty((6, 0))
+        assert basis(cols).shape == (6, 0)
+        assert np.array_equal(residual_maker(cols), oracle_annihilator(cols, 6))
+        assert basis(np.empty((3, 6, 0))).shape == (3, 6, 0)
 
     def test_idempotent_and_symmetric(self, rng):
-        m = residual_maker(rng.standard_normal((8, 3)), 8)
+        m = residual_maker(rng.standard_normal((8, 3)))
         assert np.allclose(m @ m, m, atol=1e-12)
         assert np.allclose(m, m.T, atol=1e-12)
 
     def test_rank_deficient_basis_handled(self, rng):
         col = rng.standard_normal((7, 1))
         cols = np.hstack([col, 2.0 * col, col - col])  # rank 1
-        assert Projector.from_columns(cols, 7).q.shape == (7, 1)
-        assert np.allclose(residual_maker(cols, 7), oracle_annihilator(cols, 7), atol=1e-10)
+        assert basis(cols).shape == (7, 1)
+        assert np.allclose(residual_maker(cols), oracle_annihilator(cols, 7), atol=1e-10)
 
     def test_matches_pinv_oracle(self, rng):
         cols = rng.standard_normal((12, 4))
-        q = Projector.from_columns(cols, 12).q
+        q = basis(cols)
         assert np.allclose(q.T @ q, np.eye(4), atol=1e-12)
-        assert np.allclose(residual_maker(cols, 12), oracle_annihilator(cols, 12), atol=1e-10)
+        assert np.allclose(residual_maker(cols), oracle_annihilator(cols, 12), atol=1e-10)
 
-    def test_nonfinite_basis_rejected(self):
+    def test_nonfinite_basis_rejected(self, rng):
         with pytest.raises(NonFiniteInput):
-            Projector.from_columns(np.array([[1.0], [np.nan]]), 2)
+            basis(np.array([[1.0], [np.nan]]))
+        stack = rng.standard_normal((3, 5, 2))
+        stack[2, 4, 1] = np.inf
+        with pytest.raises(NonFiniteInput):
+            basis(stack)
 
-    def test_wrong_shape_rejected(self, rng):
-        for cols in (rng.standard_normal((5, 2)), rng.standard_normal(6)):
-            with pytest.raises(InputError, match="basis must be 6 x q") as err:
-                Projector.from_columns(cols, 6)
-            assert not isinstance(err.value, NonFiniteInput)
+    def test_stack_is_its_members_zero_padded(self, rng):
+        # Ranks 3, 1, 0 and 2: the stack is as wide as the widest member, and
+        # each member is its own basis bit for bit, then exact zeros.
+        col = rng.standard_normal((9, 1))
+        members = [
+            rng.standard_normal((9, 3)),
+            np.hstack([col, -3.0 * col, 0.0 * col]),
+            np.zeros((9, 3)),
+            np.hstack([col, rng.standard_normal((9, 1)), col]),
+        ]
+        stack = basis(np.stack(members))
+        assert stack.shape == (4, 9, 3)
+        for got, cols in zip(stack, members):
+            alone = basis(cols)
+            rank = alone.shape[1]
+            assert got[:, :rank].tobytes() == alone.tobytes()
+            assert got[:, rank:].tobytes() == np.zeros((9, 3 - rank)).tobytes()  # +0.0, sign bits included
 
 
 class TestCompensatedSum:

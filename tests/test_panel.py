@@ -220,11 +220,23 @@ class TestBuildPanelOracle:
     def test_unreadable_value_raises_in_row_order(self, rng):
         rows = make_rows(2, 3, 1, rng)
         rows[4] = rows[4][:2] + ("oops", 1.0)
-        with pytest.raises(ValueError, match="could not convert string to float: 'oops'"):
-            build_panel(rows)
+        message = r"unreadable value at \('u001', 2\): could not convert string to float: 'oops'"
+        for build in (build_panel, reference_build_panel):
+            with pytest.raises(InputError, match=message) as err:
+                build(rows)
+            assert type(err.value) is InputError
         rows[1] = rows[1][:2] + (float("nan"), 1.0)
         with pytest.raises(NonFiniteValue):
             build_panel(rows)
+
+    def test_unreadable_common_value_names_its_time(self, rng):
+        rows = make_rows(2, 3, 1, rng)
+        common = [(1, 0.5), (2, "oops"), (3, float("nan"))]
+        message = r"unreadable common regressor at time 2: could not convert string to float: 'oops'"
+        for build in (build_panel, reference_build_panel):
+            with pytest.raises(InputError, match=message) as err:
+                build(rows, common_rows=common)
+            assert type(err.value) is InputError
 
     def test_common_rows_with_unknown_time(self, rng):
         rows = make_rows(2, 3, 1, rng)
