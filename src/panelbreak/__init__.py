@@ -20,7 +20,6 @@ from .linalg import basis, cross_sectional_average
 from .panel import (
     BreakSpec,
     PanelData,
-    build_panel,
     estimation_candidates,
     testing_candidates,
     z_regressors,
@@ -52,7 +51,6 @@ __all__ = [
     "WaldResult",
     "argmax_quantile",
     "basis",
-    "build_panel",
     "cce_fit",
     "confidence_interval",
     "cross_sectional_average",

@@ -214,7 +214,10 @@ def _write_out(args, text: str) -> None:
     if args.out:
         write_text_atomic(args.out, text)
     else:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+        except UnicodeEncodeError as err:  # the text is encoded whole before any of it is written
+            raise InputError(f"stdout's encoding ({err.encoding}) cannot hold the report; write it with --out") from None
 
 
 def _render_text(report: dict) -> str:

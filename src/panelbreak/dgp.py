@@ -221,12 +221,12 @@ def run_experiment(config: DgpConfig, pipeline: str = "FULL", reps: int = 100, a
     if test and sw_critical is None:
         sw_critical = sup_bessel_critical(spec.n_breaking, spec.trim_fraction, alpha)
 
-    seeds = np.random.SeedSequence(config.seed).spawn(reps)
+    root = np.random.SeedSequence(config.seed)  # each stack spawns its children as it is drawn
     hits, abs_errors, covered, widths, rejections = [], [], [], [], []
     n_errors = 0
     max_errors = max(1, int(MAX_ERROR_FRACTION * reps))
     for start in range(0, reps, _STACK):
-        drawn = [generate(config, seed=seed) for seed in seeds[start : start + _STACK]]
+        drawn = [generate(config, seed=seed) for seed in root.spawn(min(_STACK, reps - start))]
         engine = ProfileEngine([panel for panel, _ in drawn], spec)  # one for both stages
         skipped = [None] * len(drawn)
         tests = _sup_wald(engine, None, alpha, sw_critical) if test else skipped  # first: no b̂ fit is held then

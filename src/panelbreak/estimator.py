@@ -181,7 +181,10 @@ def _attempt(func, *args):
 def _unwrap(outcome):
     """The value of an ``_attempt`` outcome, or its error raised."""
     if isinstance(outcome, PanelBreakError):
-        raise outcome
+        try:
+            raise outcome
+        finally:  # else the error's traceback holds this frame, which holds the error: a cycle
+            del outcome
     return outcome
 
 

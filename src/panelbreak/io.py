@@ -11,6 +11,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import os
+import stat
 import tempfile
 import warnings
 from array import array
@@ -196,12 +197,20 @@ def write_text_atomic(path, text: str) -> None:
     """Write ``text`` to ``path`` through a temporary file and a rename.
 
     Readers see the old file or the whole new one, never a partial write,
-    and the temporary file is removed when anything fails.
+    and the temporary file is removed when anything fails. The text is
+    UTF-8 and the file gets the mode ``open(path, "w")`` would leave.
     """
     path = os.fspath(path)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as handle:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0o022)  # the umask is read by setting it; put back on the next line
+        os.umask(umask)
+        mode = 0o666 & ~umask
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")  # made with mode 0600
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            os.fchmod(fd, mode)
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:

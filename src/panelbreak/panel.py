@@ -165,70 +165,17 @@ def _coerce_time_order(labels):
         return sorted(labels, key=str)
 
 
-def _check_shape(n_rows: int, width: int) -> None:
-    if not n_rows:
-        raise InputError("no observations supplied")
-    if width < 4:
-        raise RaggedRow("rows need at least (unit, time, y, x1)")
-
-
-def _first_unconvertible(rows):
-    """Index of the first row whose values numpy cannot read as floats, and an error naming it."""
-    for i, row in enumerate(rows):
-        try:
-            np.asarray(row[2:], dtype=float)
-        except (ValueError, TypeError) as err:
-            return i, InputError(f"unreadable value at {row[:2]}: {err}")
-    return len(rows), None
-
-
-def build_panel(raw_rows, common_rows=None, intercept: bool = False) -> PanelData:
-    """Assemble a PanelData from long-format rows.
-
-    Parameters
-    ----------
-    raw_rows : iterable of (unit, time, y, x_1, ..., x_k)
-        Every (unit, time) pair must appear exactly once and every unit
-        must be observed at every time.
-    common_rows : iterable of (time, d_1, ..., d_n), optional
-        Known common regressors; must cover every time exactly once.
-    intercept : bool
-        Prepend an all-ones column to d (fixed effects through the
-        known-factor channel).
-
-    The first offending row in input order decides the error; within a row
-    RaggedRow beats DuplicateObservation beats NonFiniteValue. Once every row
-    passes, UnbalancedPanel names the first missing cell in sorted order.
-    """
-    rows = [tuple(row) for row in raw_rows]
-    width = len(rows[0]) if rows else 0
-    _check_shape(len(rows), width)
-    # Rows from the first ragged one on are never looked at.
-    ragged = next((i for i, row in enumerate(rows) if len(row) != width), len(rows))
-    head = rows[:ragged]
-    try:
-        values, pending = np.array([row[2:] for row in head], dtype=float), None
-    except (ValueError, TypeError):
-        unreadable, pending = _first_unconvertible(head)
-        values = np.array([row[2:] for row in head[:unreadable]], dtype=float).reshape(unreadable, width - 2)
-    if pending is None and ragged < len(rows):
-        row = rows[ragged]
-        pending = RaggedRow(f"row {row[:2]} has {len(row)} fields, expected {width}")
-    units, times = ([row[c] for row in head] for c in (0, 1))
-    return _assemble_panel(units, times, values, common_rows, intercept, pending)
-
-
-def _assemble_panel(units, times, values, common_rows=None, intercept=False, pending=None) -> PanelData:
+def _assemble_panel(units, times, values, common_rows=None, intercept=False) -> PanelData:
     """The panel of label columns ``units``, ``times`` and a (rows, 1+k) ``values`` array.
 
-    ``pending`` is the error of row ``len(values)``, which a duplicate up to
-    that row or a non-finite value before it outranks; ``units`` and
-    ``times`` may run on past it. Precedence is ``build_panel``'s. Only
-    ``build_panel`` has such an error (a ragged or unreadable row); the
-    scans that outrank it are this builder's, so it is passed in here
-    rather than a second copy of them kept in ``build_panel``.
+    The first row with a duplicate (unit, time) pair or a non-finite value
+    decides the error, the duplicate first within a row; once every row
+    passes, UnbalancedPanel names the first missing cell in sorted order.
     """
-    _check_shape(len(units), 2 + values.shape[1])
+    if not len(units):
+        raise InputError("no observations supplied")
+    if values.shape[1] < 2:
+        raise RaggedRow("rows need at least (unit, time, y, x1)")
     # Labels coded in first-seen order; equal labels share a code.
     unit_code = {unit: j for j, unit in enumerate(dict.fromkeys(units))}
     time_code = {time: j for j, time in enumerate(dict.fromkeys(times))}
@@ -244,9 +191,7 @@ def _assemble_panel(units, times, values, common_rows=None, intercept=False, pen
         raise DuplicateObservation(f"duplicate observation for {(units[duplicate], times[duplicate])}")
     if bad_value < len(values):
         raise NonFiniteValue(f"non-finite value at {(units[bad_value], times[bad_value])}")
-    if pending is not None:
-        raise pending
-    units_sorted = sorted(unit_code, key=lambda u: (str(type(u)), str(u)))
+    units_sorted = sorted(unit_code)
     times_sorted = _coerce_time_order(time_code)
     n_units, n_periods = len(units_sorted), len(times_sorted)
     # Sorted position of each first-seen code: the inverse permutation.
@@ -262,20 +207,10 @@ def _assemble_panel(units, times, values, common_rows=None, intercept=False, pen
     d = None
     if common_rows is not None:
         common = {}
-        cwidth = None
-        for row in common_rows:
-            row = tuple(row)
-            if cwidth is None:
-                cwidth = len(row)
-            elif len(row) != cwidth:
-                raise RaggedRow("common-regressor rows have inconsistent width")
-            time = row[0]
+        for time, *vals in common_rows:
             if time in common:
                 raise DuplicateObservation(f"duplicate common row for time {time}")
-            try:
-                vals = np.asarray(row[1:], dtype=float)
-            except (ValueError, TypeError) as err:
-                raise InputError(f"unreadable common regressor at time {time}: {err}") from None
+            vals = np.array(vals, dtype=float)
             if not np.all(np.isfinite(vals)):
                 raise NonFiniteValue(f"non-finite common regressor at time {time}")
             common[time] = vals
@@ -285,7 +220,7 @@ def _assemble_panel(units, times, values, common_rows=None, intercept=False, pen
         extra = [t for t in common if t not in time_code]
         if extra:
             raise UnbalancedPanel(f"common rows cover unknown times {extra[:5]}")
-        d = np.vstack([common[t] for t in times_sorted]) if cwidth > 1 else None
+        d = np.vstack([common[t] for t in times_sorted])  # PanelData drops a (T, 0) d
     if intercept:
         ones = np.ones((n_periods, 1))
         d = ones if d is None else np.hstack([ones, d])

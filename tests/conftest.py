@@ -3,10 +3,10 @@
 The oracles deliberately use a different computational route than the
 package: dense T x T annihilators built from pseudoinverses, and
 normal equations solved with explicit inverses. Slow and numerically
-naive, but independent. ``reference_build_panel`` is the row-at-a-time
-panel assembly that ``build_panel`` must match outcome for outcome,
-``reference_read_rows`` the record-at-a-time CSV reader that the
-streaming reader of ``load_panel`` must match,
+naive, but independent. ``reference_read_rows``, a record-at-a-time
+CSV reader, and ``reference_build_panel``, a row-at-a-time panel
+assembly, are together what ``load_panel`` (the streaming reader and
+the grid builder) must match outcome for outcome,
 ``reference_sup_bessel_samples`` the allocating loop that the in-place
 sup-Bessel simulator must match bit for bit, and
 ``simulated_argmax_quantiles`` simulates the law that

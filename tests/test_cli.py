@@ -100,6 +100,17 @@ class TestDetect:
         report = json.loads(out.read_text())
         assert "stages" in report
 
+    def test_out_file_gets_the_mode_open_would_leave(self, capsys, null_csv, tmp_path):
+        old = os.umask(0o022)
+        try:
+            code = main(["estimate", *base_args(null_csv), "--out", str(tmp_path / "r.json")])
+            (tmp_path / "touched").touch()
+        finally:
+            os.umask(old)
+        capsys.readouterr()
+        assert code == EXIT_OK
+        assert oct((tmp_path / "r.json").stat().st_mode & 0o777) == oct((tmp_path / "touched").stat().st_mode & 0o777)
+
     def test_failed_out_write_leaves_no_temp_file(self, capsys, null_csv, tmp_path, monkeypatch):
         def fail(src, dst):
             raise OSError("rename failed")
@@ -464,6 +475,36 @@ def test_cli_import_skips_heavy_scipy_modules(tmp_path, break_csv):
     assert json.loads(out.stdout) == {"loaded": [], "codes": [EXIT_OK, EXIT_OK]}
     assert json.loads((tmp_path / "simulate.json").read_text())["replications"] == 5
     assert json.loads((tmp_path / "detect.json").read_text())["stages"]["sup_wald"]["reject"]
+
+
+def test_text_reports_need_no_utf8_locale(tmp_path):
+    # Time labels e-acute 01..12 under the C locale: an --out report has the
+    # bytes it has under UTF-8, and a stdout that cannot hold the report is a
+    # usage error that names --out, not a traceback.
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((20, 12, 2))
+    labels = tuple(f"\u00e9{t:02d}" for t in range(1, 13))
+    path = tmp_path / "e.csv"
+    write_panel_csv(PanelData(y=x @ np.ones(2) + rng.standard_normal((20, 12)), x=x, time_labels=labels), path)
+    src = os.path.dirname(os.path.dirname(panelbreak.__file__))
+    base = {key: value for key, value in os.environ.items() if key != "PYTHONIOENCODING"}
+    locales = {
+        "utf8": dict(base, PYTHONPATH=src, PYTHONUTF8="1"),
+        "c": dict(base, PYTHONPATH=src, LC_ALL="C", LANG="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0"),
+    }
+
+    def run(locale, *extra):
+        argv = [sys.executable, "-m", "panelbreak.cli", "ci", *base_args(str(path)), "--format", "text", *extra]
+        return subprocess.run(argv, env=locales[locale], capture_output=True)
+
+    reports = []
+    for locale in locales:  # one --out path, which the report echoes
+        assert run(locale, "--out", str(tmp_path / "report.txt")).returncode == EXIT_OK
+        reports.append((tmp_path / "report.txt").read_bytes())
+    assert "\u00e9".encode() in reports[0] and reports[0] == reports[1]
+    refused = run("c")
+    assert refused.returncode == EXIT_USAGE and refused.stdout == b""
+    assert refused.stderr.decode() == "error: stdout's encoding (ascii) cannot hold the report; write it with --out\n"
 
 
 def test_blas_thread_count_changes_no_decision(long_csv):

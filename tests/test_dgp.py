@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -296,3 +297,26 @@ def test_stacked_experiment_is_the_replications_one_at_a_time(reps):
     }
     report = run_experiment(config, "FULL", reps=reps, c_alpha=c_alpha, sw_critical=sw_critical)
     assert report.to_json() == dgp.ExperimentReport(reps, "FULL", metrics, 0).to_json()
+
+
+def test_seeds_are_spawned_a_stack_at_a_time(monkeypatch):
+    # Memory up to the first fit does not grow with the number of replications.
+    class FirstStack(Exception):
+        pass
+
+    def stop(panels, spec):
+        raise FirstStack
+
+    monkeypatch.setattr(dgp, "ProfileEngine", stop)
+    config = DgpConfig(n_units=50, n_periods=10, b0=5, seed=7)
+
+    def peak(reps):
+        tracemalloc.start()
+        try:
+            with pytest.raises(FirstStack):
+                run_experiment(config, "FULL", reps=reps, c_alpha=11.0, sw_critical=8.85)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(20_000) <= peak(5) + 500_000

@@ -1,5 +1,8 @@
 """Break-date estimation against brute-force oracles."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -339,6 +342,31 @@ class TestFitBreak:
         assert fit.theta_hat[-1] == pytest.approx(2.0, abs=0.1)
         assert fit.ssr_profile.b_hat == fit.b_hat
 
+
+    def test_a_handled_error_frees_its_engine(self, monkeypatch):
+        # With the cyclic collector off, only reference counts free the engine
+        # once the handler ends: no frame on the error's traceback may hold the error.
+        engines = []
+        init = ProfileEngine.__init__
+
+        def record(self, *args):
+            init(self, *args)
+            engines.append(weakref.ref(self))
+
+        monkeypatch.setattr(ProfileEngine, "__init__", record)
+        rng = np.random.default_rng(3)
+        x = np.repeat(rng.standard_normal((10, 12, 1)), 2, axis=2)  # x2 duplicates x1
+        panel = PanelData(y=x[:, :, 0] + rng.standard_normal((10, 12)), x=x)
+        gc.disable()
+        try:
+            try:
+                fit_break(panel, BreakSpec.from_indices(2, [1]))
+            except StatisticalError:
+                pass
+            alive = [engine for engine in engines if engine() is not None]
+        finally:
+            gc.enable()
+        assert len(engines) == 1 and alive == []
 
 
 def test_estimate_breakpoint_makes_no_argmin_fit(rng, monkeypatch):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from panelbreak import io
-from panelbreak.exceptions import InputError, RaggedRow
+from panelbreak.exceptions import DuplicateObservation, InputError, NonFiniteValue, RaggedRow, UnbalancedPanel
 from panelbreak.io import (
     load_panel,
     read_common_rows,
@@ -325,6 +325,13 @@ def outcome(read):
     return panel.y.shape, panel.y.tobytes(), panel.x.shape, panel.x.tobytes(), d, labels
 
 
+def reference_load(path, x_names, common_path=None, intercept=True):
+    """``load_panel`` by conftest's record-at-a-time reader and row-at-a-time builder."""
+    rows = reference_read_rows(path, ["unit", "time"], ["y", *x_names])
+    common = reference_read_rows(common_path, ["time"]) if common_path else None
+    return reference_build_panel(rows, common_rows=common, intercept=intercept)
+
+
 @pytest.fixture(scope="module")
 def folder(tmp_path_factory):
     return tmp_path_factory.mktemp("stream")
@@ -343,14 +350,9 @@ class TestStreamingReader:
         if common_path is not None:
             common_path.write_text(common_text, encoding="utf-8", newline="")
 
-        def reference():
-            rows = reference_read_rows(path, ["unit", "time"], ["y", *x_names])
-            common = reference_read_rows(common_path, ["time"]) if common_path else None
-            return reference_build_panel(rows, common_rows=common, intercept=intercept)
-
         with mock.patch.object(io, "_BATCH", batch):  # records straddle batch edges at 2
             got = outcome(lambda: load_panel(path, "y", x_names, common_path=common_path, intercept=intercept))
-        assert got == outcome(reference)
+        assert got == outcome(lambda: reference_load(path, x_names, common_path, intercept))
 
     def test_floats_read_bitwise_as_python_reads_them(self, rng, tmp_path):
         # 10^5 varied tokens through numpy's tokenizer (the record reader may not
@@ -385,6 +387,94 @@ class TestStreamingReader:
         finally:
             tracemalloc.stop()
         assert peak <= 5 * path.stat().st_size
+
+
+def panel_records(rng, n, t, k):
+    """The fields of an n x t panel's records (unit, time, y, x1..xk), units u000, u001, ..."""
+    return [[f"u{i:03d}", str(s + 1), *map(repr, rng.standard_normal(1 + k).tolist())] for i in range(n) for s in range(t)]
+
+
+def write_records(path, records, k):
+    write_csv(path, [",".join(["unit", "time", "y", *(f"x{j + 1}" for j in range(k))]), *map(",".join, records)])
+
+
+class TestGridBuilder:
+    """What the grid builder behind ``load_panel`` decides, each error checked against ``reference_load``."""
+
+    def same_error(self, path, error, k=1, common_path=None):
+        x_names = [f"x{j + 1}" for j in range(k)]
+        got = outcome(lambda: load_panel(path, "y", x_names, common_path=common_path))
+        assert got == outcome(lambda: reference_load(path, x_names, common_path))
+        assert got[0] == error.__name__
+        return got[1]
+
+    def test_numeric_time_sorted_numerically(self, tmp_path):
+        path = tmp_path / "p.csv"
+        write_csv(path, ["unit,time,y,x1", *(f"{unit},{time},1.0,1.0" for unit in "ab" for time in (10, 9, 2))])
+        assert load_panel(path, "y", ["x1"]).time_labels == (2, 9, 10)
+
+    def test_first_missing_cell_in_sorted_order(self, rng, tmp_path):
+        path = tmp_path / "p.csv"
+        records = [r for r in panel_records(rng, 3, 4, 1) if (r[0], r[1]) not in {("u002", "1"), ("u001", "3")}]
+        write_records(path, records, 1)
+        assert self.same_error(path, UnbalancedPanel) == "missing observation for ('u001', 3)"
+
+    def test_duplicate_beats_nonfinite_in_one_row(self, rng, tmp_path):
+        path = tmp_path / "p.csv"
+        records = panel_records(rng, 2, 3, 1)
+        write_records(path, records + [records[1][:2] + ["inf", "1.0"]], 1)
+        assert self.same_error(path, DuplicateObservation) == "duplicate observation for ('u000', 2)"
+
+    def test_common_rows_must_cover_the_times(self, rng, tmp_path):
+        path, common_path = tmp_path / "p.csv", tmp_path / "d.csv"
+        write_records(path, panel_records(rng, 2, 3, 1), 1)
+        write_csv(common_path, ["time,trend", "1,0.5", "2,0.7"])
+        assert self.same_error(path, UnbalancedPanel, common_path=common_path) == "common rows missing times [3]"
+        write_csv(common_path, ["time,trend", "1,0.5", "2,0.7", "3,0.9", "4,1.1"])
+        message = self.same_error(path, UnbalancedPanel, common_path=common_path)
+        assert message == "common rows cover unknown times [4]"
+
+    def test_paper_sized_panel(self, rng, tmp_path):
+        # The application's dimensions: 61 countries over 38 weeks, three regressors.
+        path = tmp_path / "p.csv"
+        records = panel_records(rng, 61, 38, 3)
+        write_records(path, records[::-1], 3)
+        panel = load_panel(path, "y", ["x1", "x2", "x3"])
+        assert (panel.n_units, panel.n_periods, panel.n_regressors) == (61, 38, 3)
+        assert panel.x[60, 37, 2] == float(records[-1][-1])
+
+    @pytest.mark.parametrize(
+        "first, second, error",
+        [
+            ("nonfinite", "duplicate", NonFiniteValue),
+            ("duplicate", "nonfinite", DuplicateObservation),
+            ("missing", "nonfinite", NonFiniteValue),
+            ("duplicate", "ragged", RaggedRow),
+            ("nonfinite", "ragged", RaggedRow),
+        ],
+    )
+    def test_first_defect_in_file_order_wins(self, rng, tmp_path, first, second, error):
+        # The reader raises a ragged record as it meets it, before the grid
+        # builder sees a row; then the first defective row in file order decides.
+        records = panel_records(rng, 3, 4, 2)
+
+        def inject(kind, at):
+            if kind == "nonfinite":
+                records[at][3] = "nan"
+            elif kind == "duplicate":
+                records[at][:2] = records[0][:2]
+            elif kind == "ragged":
+                del records[at][-1]
+            else:  # the record moves to a new unit, leaving its cell missing
+                records[at][0] = "no such unit"
+
+        inject(first, 3)
+        inject(second, 7)
+        path = tmp_path / "p.csv"
+        write_records(path, records, 2)
+        message = self.same_error(path, error, k=2)
+        if error is RaggedRow:  # record 7 sits on file line 9, after the header
+            assert message == f"{path}:9: row has 4 fields"
 
 
 class TestRoundTrip:
@@ -422,6 +512,19 @@ class TestAtomicWrite:
             write_text_atomic(path, "new\n")
         assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
         assert path.read_text() == "old\n"
+
+
+    def test_the_file_gets_the_mode_open_would_leave(self, tmp_path):
+        old = os.umask(0o027)
+        try:
+            write_text_atomic(tmp_path / "new.txt", "one\n")
+            (tmp_path / "opened.txt").write_text("one\n")
+        finally:
+            os.umask(old)
+        assert (tmp_path / "new.txt").stat().st_mode & 0o777 == (tmp_path / "opened.txt").stat().st_mode & 0o777 == 0o640
+        (tmp_path / "new.txt").chmod(0o604)  # an existing file keeps its mode
+        write_text_atomic(tmp_path / "new.txt", "two\n")
+        assert (tmp_path / "new.txt").stat().st_mode & 0o777 == 0o604
 
 
 class TestKeyValueConfig:

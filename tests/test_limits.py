@@ -197,6 +197,15 @@ class TestCacheIO:
         write_cache(path, {"schema_version": 1, "tables": []})
         assert [p.name for p in tmp_path.iterdir()] == ["cache.json"]
 
+    def test_cache_gets_the_mode_open_would_leave(self, tmp_path):
+        # A regenerated packaged cache stays readable by every user of a shared install.
+        old = os.umask(0o022)
+        try:
+            write_cache(tmp_path / "cache.json", {"schema_version": 2, "tables": []})
+        finally:
+            os.umask(old)
+        assert (tmp_path / "cache.json").stat().st_mode & 0o777 == 0o644
+
     def test_failed_rename_leaves_no_temp(self, tmp_path, monkeypatch):
         def fail(src, dst):
             raise OSError("rename failed")
