@@ -430,6 +430,10 @@ class TestGridBuilder:
         write_records(path, panel_records(rng, 2, 3, 1), 1)
         write_csv(common_path, ["time,trend", "1,0.5", "2,0.7"])
         assert self.same_error(path, UnbalancedPanel, common_path=common_path) == "common rows missing times [3]"
+
+    def test_common_rows_with_unknown_time(self, rng, tmp_path):
+        path, common_path = tmp_path / "p.csv", tmp_path / "d.csv"
+        write_records(path, panel_records(rng, 2, 3, 1), 1)
         write_csv(common_path, ["time,trend", "1,0.5", "2,0.7", "3,0.9", "4,1.1"])
         message = self.same_error(path, UnbalancedPanel, common_path=common_path)
         assert message == "common rows cover unknown times [4]"
