@@ -9,7 +9,6 @@ from .estimator import (
     ProjectorMode,
     SsrProfile,
     cce_fit,
-    confidence_interval,
     estimate_breakpoint,
     estimate_theta,
     fit_break,
@@ -52,7 +51,6 @@ __all__ = [
     "argmax_quantile",
     "basis",
     "cce_fit",
-    "confidence_interval",
     "cross_sectional_average",
     "estimate_breakpoint",
     "estimate_theta",

@@ -16,7 +16,8 @@ ill-conditioned, small or lost digits to stage 2, or its fit is
 near-exact or ties for its panel's minimum SSR. A panel's numbers do not
 depend on its stack or chunk, unless its proxy set has a lower rank than
 another's there, when its basis carries zero columns. A chunk of rows
-holds the dates of one panel, or one date each of many.
+holds the dates of one panel, or one date each of many. One engine serves
+a window of the sequential search: its sup-Wald, then ``_break_fit``.
 """
 
 from __future__ import annotations
@@ -462,25 +463,13 @@ class BreakFit:
     ci_clamped: bool = False
 
 
-def confidence_interval(panel: PanelData, spec: BreakSpec, b_hat: int, alpha: float, c_alpha: float | None = None):
-    """(lower, upper, clamped): the interval for the true break date at level 1 - alpha, clamped to [1, T-1].
-
-    ``c_alpha``, the (1 - alpha/2) percentile of the argmax limit law, is looked up in
-    :mod:`panelbreak.limits` when omitted. The moments come from the ESTIMATION-mode
-    ``cce_fit`` at ``b_hat``; ``fit_break`` reads the same fit from the profile engine.
-    """
-    return _interval(panel, spec, b_hat, alpha, c_alpha)[0]
-
-
-def _interval(panel, spec, b_hat, alpha, c_alpha, fit=None):
-    """The interval at ``b_hat``, with the fit and the moments it came from.
-
-    ``fit`` is the ESTIMATION fit at ``b_hat`` (or the error it raised)
-    when the caller has it; otherwise it comes from ``cce_fit``.
-    """
+def _interval(panel, spec, b_hat, alpha, c_alpha, fit):
+    """(lower, upper, clamped), the level 1 - alpha interval at ``b_hat`` clamped to [1, T-1], with the
+    ESTIMATION ``fit`` there (or its error) and the moments from it. ``c_alpha``, the (1 - alpha/2)
+    percentile of the argmax limit law, is looked up when None."""
     if not (0.0 < alpha <= 1.0):
         raise InputError("alpha must lie in (0, 1]")
-    fit = cce_fit(panel, spec, b_hat, ProjectorMode.ESTIMATION) if fit is None else _unwrap(fit)
+    fit = _unwrap(fit)
     omega, phi, sigma_i = moment_estimates(panel, fit)
     if c_alpha is None:
         c_alpha = argmax_quantile(1.0 - alpha / 2.0)
@@ -534,7 +523,12 @@ def _theta(panel, spec, fit: CceFit):
 
 def fit_break(panel: PanelData, spec: BreakSpec, alpha: float = 0.05, c_alpha: float | None = None) -> BreakFit:
     """Full dating pipeline: profile, argmin, interval, coefficients, all from one engine."""
-    engine = ProfileEngine([panel], spec)
+    return _break_fit(ProfileEngine([panel], spec), alpha, c_alpha)
+
+
+def _break_fit(engine: ProfileEngine, alpha, c_alpha) -> BreakFit:
+    """``fit_break`` of a lone panel's engine, which may already have served its sup-Wald."""
+    panel, spec = engine.panels[0], engine.spec
     profile, (lower, upper, clamped), fit, (omega, phi, sigma_i) = _unwrap(_intervals(engine, alpha, c_alpha)[0])
     theta, cov = _theta(panel, spec, _unwrap(engine.fit([0], [profile.b_hat], ProjectorMode.TESTING)[0]))
     return BreakFit(

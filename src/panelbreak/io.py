@@ -196,18 +196,18 @@ def write_panel_csv(panel: PanelData, path, y: str = "y", x_names=None) -> None:
 def write_text_atomic(path, text: str) -> None:
     """Write ``text`` to ``path`` through a temporary file and a rename.
 
-    Readers see the old file or the whole new one, never a partial write,
-    and the temporary file is removed when anything fails. The text is
-    UTF-8 and the file gets the mode ``open(path, "w")`` would leave.
+    Readers see the old file or the whole new one, never a partial write, and the
+    temporary file is removed when anything fails. As with ``open(path, "w")``, the text
+    is UTF-8, a symlink's target gets it, and the file gets the mode open would leave.
     """
-    path = os.fspath(path)
+    path = os.path.realpath(path)
     try:
         mode = stat.S_IMODE(os.stat(path).st_mode)
     except FileNotFoundError:
         umask = os.umask(0o022)  # the umask is read by setting it; put back on the next line
         os.umask(umask)
         mode = 0o666 & ~umask
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")  # made with mode 0600
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")  # made with mode 0600
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             os.fchmod(fd, mode)
@@ -226,6 +226,9 @@ def load_panel(
     common_path=None,
     intercept: bool = True,
 ) -> PanelData:
+    """The balanced panel of a long-format CSV, units and times sorted. ``common_path`` names an
+    optional CSV of common regressors by time; ``intercept`` puts a constant column first in d.
+    Every input fault is an ``InputError``, found in the order README "Input checks" gives."""
     rows = read_panel_rows(panel_path, y, x_names)
     common = read_common_rows(common_path) if common_path else None
     return _assemble_panel(*rows.labels, rows.table, common, intercept)

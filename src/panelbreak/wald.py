@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .estimator import BreakFit, CceFit, FitStack, ProfileEngine, ProjectorMode, _attempt, _unwrap, cce_fit, fit_break
+from .estimator import BreakFit, ProfileEngine, ProjectorMode, _attempt, _break_fit, _unwrap, cce_fit
 from .exceptions import (
     EmptyCandidateSet,
     InputError,
@@ -103,41 +103,27 @@ def _sandwich(z: np.ndarray, resid: np.ndarray, hac: HacConfig):
     return omega_inv @ psi @ omega_inv, errors
 
 
-def _wald_stats(fits: FitStack, hac: HacConfig):
-    """W(b) for each fit of the stack, and the failed inversions by stack index."""
-    nt = fits.resid.shape[1] * fits.resid.shape[2]
-    sigma, errors = _sandwich(fits.z_partialled, fits.resid, hac)
+def _wald_stats(delta: np.ndarray, resid: np.ndarray, z: np.ndarray, hac: HacConfig):
+    """W(b) of each fit in a stack, from its delta (B, r) and ``_sandwich``'s rows, and the failed inversions."""
+    nt = resid.shape[1] * resid.shape[2]
+    sigma, errors = _sandwich(z, resid, hac)
     sigma_inv, sigma_errors = _invert_psd(sigma)
-    stat = ((nt * fits.delta)[:, None, :] @ sigma_inv @ fits.delta[:, :, None])[:, 0, 0]
+    stat = ((nt * delta)[:, None, :] @ sigma_inv @ delta[:, :, None])[:, 0, 0]
     return np.where(0.0 > stat, 0.0, stat), {**sigma_errors, **errors}
 
 
-def _one_date(fit: CceFit) -> FitStack:
-    """``fit`` as a stack of one, in the time-major layout."""
-    return FitStack(
-        pairs=((0, fit.break_date),), beta=fit.beta[None], delta=fit.delta[None],
-        resid=fit.residuals.T[None], z_partialled=fit.z_partialled.T[None],
-        design_gram=fit.design_gram[None],
-    )
-
-
-def wald_from_fit(fit: CceFit, hac: HacConfig) -> float:
+def wald_at(panel: PanelData, spec: BreakSpec, b: int, hac: HacConfig | None = None) -> float:
+    """Wald statistic W(b) = NT d'(b) Sigma(b)^{-1} d(b), TESTING projection."""
+    fit = cce_fit(panel, spec, b, ProjectorMode.TESTING)
     if fit.ssr <= 1e-14 * fit.y_ss:
         # Numerically exact fit: both the residuals and (possibly) the break
         # estimate are pure rounding noise, so the Wald ratio is
         # indeterminate. Resolve it by the sign of the break magnitude.
         return 0.0 if np.sum(fit.delta * fit.delta) <= 1e-16 else np.inf
-    stats, errors = _wald_stats(_one_date(fit), hac)
+    stats, errors = _wald_stats(fit.delta[None], fit.residuals.T[None], fit.z_partialled.T[None], hac or HacConfig())
     if errors:
         raise SingularCovariance(errors[0])
     return float(stats[0])
-
-
-def wald_at(panel: PanelData, spec: BreakSpec, b: int, hac: HacConfig | None = None) -> float:
-    """Wald statistic W(b) = NT d'(b) Sigma(b)^{-1} d(b), TESTING projection."""
-    hac = hac or HacConfig()
-    fit = cce_fit(panel, spec, b, ProjectorMode.TESTING)
-    return wald_from_fit(fit, hac)
 
 
 @dataclass(frozen=True)
@@ -181,7 +167,7 @@ def _sup_wald(engine: ProfileEngine, hac, alpha, sw_critical) -> list:
         return [empty] * len(engine.panels)
     fast, rank_failures, reps = {}, {}, range(len(engine.panels))
     for fits in engine.fits(reps, [candidates] * len(reps), ProjectorMode.TESTING):
-        stats, singular = _wald_stats(fits, hac)
+        stats, singular = _wald_stats(fits.delta, fits.resid, fits.z_partialled, hac)
         fast.update((pair, w) for j, (pair, w) in enumerate(zip(fits.pairs, stats.tolist())) if j not in singular)
         rank_failures.update(fits.excluded)
         del fits  # its rows go before the next chunk's are made
@@ -239,15 +225,15 @@ def sequential_breaks(
 
     Tests the full sample; on rejection, dates the break, then recurses
     on the pre and post subsamples whose lengths still admit a nonempty
-    trimmed candidate set. Returns breaks sorted by date, capped at
-    ``max_breaks``. ``full_sample_wald`` is the full-sample test when the
-    caller has already run it. A statistical error in a sub-window, from
-    testing or from dating, ends the search in that window; in the full
-    sample it is raised.
+    trimmed candidate set. Returns at most ``max_breaks`` breaks, sorted
+    by date. Each window's test and dating come from one profile engine,
+    freed before the search recurses. ``full_sample_wald`` is the
+    full-sample test when the caller has already run it. A statistical
+    error in a sub-window, from testing or from dating, ends the search in
+    that window; in the full sample it is raised.
     """
     if max_breaks < 1:
         raise InputError("max_breaks must be >= 1")
-    hac = hac or HacConfig()
     found: list[DetectedBreak] = []
 
     def search(start: int, stop: int, first: bool) -> None:
@@ -257,29 +243,24 @@ def sequential_breaks(
             return
         sub = panel.slice_periods(start, stop) if (start, stop) != (1, panel.n_periods) else panel
         try:
-            if first and full_sample_wald is not None:
-                wald = full_sample_wald
-            else:
-                wald = sup_wald(sub, spec, hac, alpha)
+            engine = ProfileEngine([sub], spec)
+            given = full_sample_wald if first else None
+            wald = given if given is not None else _unwrap(_sup_wald(engine, hac, alpha, None)[0])
             if not wald.reject_sw:
                 return
-            fit = fit_break(sub, spec, alpha)
+            fit = _break_fit(engine, alpha, None)
         except StatisticalError:
             if first:
                 raise
             return
+        del engine  # the window's engine goes before the sub-windows build theirs
         offset = start - 1
-        global_fit = replace(
-            fit,
-            b_hat=fit.b_hat + offset,
-            ci_lower=fit.ci_lower + offset,
-            ci_upper=fit.ci_upper + offset,
-        )
-        found.append(DetectedBreak(fit=global_fit, window=(start, stop), wald=wald))
         split = fit.b_hat + offset
+        global_fit = replace(fit, b_hat=split, ci_lower=fit.ci_lower + offset, ci_upper=fit.ci_upper + offset)
+        found.append(DetectedBreak(fit=global_fit, window=(start, stop), wald=wald))
         search(start, split, False)
         search(split + 1, stop, False)
 
     search(1, panel.n_periods, True)
     found.sort(key=lambda br: br.fit.b_hat)
-    return found[:max_breaks]
+    return found

@@ -12,7 +12,6 @@ from panelbreak import (
     PanelData,
     cce_fit,
     estimator,
-    confidence_interval,
     estimate_breakpoint,
     estimate_theta,
     fit_break,
@@ -24,6 +23,7 @@ from panelbreak import (
 from panelbreak.estimator import (
     ProjectorMode,
     ProfileEngine,
+    _attempt,
     _interval,
     interval_half_width,
     moment_estimates,
@@ -46,6 +46,12 @@ from conftest import (
     oracle_joint_fit,
     random_panel,
 )
+
+
+def reference_interval(panel, spec, b_hat, alpha, c_alpha):
+    """``_interval``'s (interval, fit, moments) from the reference ESTIMATION fit at ``b_hat``."""
+    fit = _attempt(cce_fit, panel, spec, b_hat, ProjectorMode.ESTIMATION)
+    return _interval(panel, spec, b_hat, alpha, c_alpha, fit)
 
 
 class TestOracleEquivalence:
@@ -171,7 +177,7 @@ class TestConfidenceInterval:
 
     def test_degenerate_alpha_one(self, rng):
         panel, spec = exact_break_panel(rng, b0=7)
-        lo, hi, clamped = confidence_interval(panel, spec, 7, alpha=1.0, c_alpha=0.0)
+        lo, hi, clamped = reference_interval(panel, spec, 7, alpha=1.0, c_alpha=0.0)[0]
         assert (lo, hi) == (6, 8)
         assert not clamped
 
@@ -179,7 +185,7 @@ class TestConfidenceInterval:
         # At b_hat = 1 even the minimal half-width of one period runs
         # past the admissible range on the left.
         panel, spec = exact_break_panel(rng, t=10, b0=1)
-        lo, hi, clamped = confidence_interval(panel, spec, 1, alpha=0.05, c_alpha=11.0)
+        lo, hi, clamped = reference_interval(panel, spec, 1, alpha=0.05, c_alpha=11.0)[0]
         assert clamped
         assert lo == 1 and hi == 2
 
@@ -231,9 +237,9 @@ class TestConfidenceInterval:
     def test_alpha_domain(self, rng):
         panel, spec = exact_break_panel(rng)
         with pytest.raises(InputError):
-            confidence_interval(panel, spec, 7, alpha=0.0, c_alpha=1.0)
+            reference_interval(panel, spec, 7, alpha=0.0, c_alpha=1.0)
         with pytest.raises(InputError):
-            confidence_interval(panel, spec, 7, alpha=1.5, c_alpha=1.0)
+            reference_interval(panel, spec, 7, alpha=1.5, c_alpha=1.0)
 
     def test_width_shrinks_with_n(self):
         # Same moments, larger N -> weakly narrower interval.
@@ -404,13 +410,13 @@ class TestCarriedFit:
             b_hat = carried.profiles()[0].b_hat
             carried_fit = carried.fit([0], [b_hat], ProjectorMode.ESTIMATION)[0]
             got, got_err = self.outcome(_interval, panel, spec, b_hat, 0.05, 11.0, carried_fit)
-            want, want_err = self.outcome(_interval, panel, spec, b_hat, 0.05, 11.0)  # refits with cce_fit
+            want, want_err = self.outcome(reference_interval, panel, spec, b_hat, 0.05, 11.0)
             assert got_err == want_err
             if want_err is not None:
                 continue
             reference = cce_fit(panel, spec, b_hat, ProjectorMode.ESTIMATION)
             sigma_i = moment_estimates(panel, reference)[2]
-            assert got[0] == want[0] == confidence_interval(panel, spec, b_hat, 0.05, c_alpha=11.0)
+            assert got[0] == want[0] == reference_interval(panel, spec, b_hat, 0.05, c_alpha=11.0)[0]
             np.testing.assert_allclose(got[1].delta, reference.delta, rtol=1e-10, atol=0.0)
             np.testing.assert_allclose(got[2][2], sigma_i, rtol=1e-10, atol=0.0)
             # fit_break passes the same fit on; it fails where TESTING at b_hat is rank-deficient.

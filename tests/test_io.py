@@ -530,6 +530,20 @@ class TestAtomicWrite:
         write_text_atomic(tmp_path / "new.txt", "two\n")
         assert (tmp_path / "new.txt").stat().st_mode & 0o777 == 0o604
 
+    def test_a_symlink_is_written_through(self, tmp_path):
+        # As open(path, "w") would: the link stays a link and its target gets the text.
+        (tmp_path / "reports").mkdir()
+        target = tmp_path / "reports" / "target.json"
+        target.write_text("old\n")
+        target.chmod(0o604)
+        link = tmp_path / "link.json"
+        link.symlink_to(os.path.join("reports", "target.json"))
+        write_text_atomic(link, "new\n")
+        assert link.is_symlink() and os.readlink(link) == os.path.join("reports", "target.json")
+        assert target.read_text() == "new\n"
+        assert target.stat().st_mode & 0o777 == 0o604
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["link.json", "reports", "target.json"]
+
 
 class TestKeyValueConfig:
     def test_parse(self, tmp_path):

@@ -27,7 +27,7 @@ from panelbreak.exceptions import (
     StatisticalError,
 )
 from panelbreak.panel import testing_candidates as trimmed_candidates
-from panelbreak.wald import _one_date, _sandwich, kernel_weight, wald_from_fit
+from panelbreak.wald import _sandwich, kernel_weight
 
 from conftest import acceptance_01_cases, exact_break_panel, random_panel
 
@@ -104,8 +104,7 @@ class TestWaldStatistic:
         panel = random_panel(rng, n=12, t=14, k=2)
         spec = BreakSpec.from_indices(2, [0])
         fit = cce_fit(panel, spec, 7, ProjectorMode.TESTING)
-        one = _one_date(fit)
-        sigma = _sandwich(one.z_partialled, one.resid, HacConfig(bandwidth=1))[0][0]
+        sigma = _sandwich(fit.z_partialled.T[None], fit.residuals.T[None], HacConfig(bandwidth=1))[0][0]
         # Oracle: lag-zero sandwich only.
         zt, eps = fit.z_partialled, fit.residuals
         nt = 12 * 14
@@ -120,8 +119,8 @@ class TestWaldStatistic:
         panel = random_panel(rng, n=12, t=14, k=2)
         spec = BreakSpec.from_indices(2, breaking)
         fit = cce_fit(panel, spec, 7, ProjectorMode.TESTING)
-        one = _one_date(fit)
-        sigma = _sandwich(one.z_partialled, one.resid, HacConfig(kernel=kernel, bandwidth=bandwidth))[0][0]
+        hac = HacConfig(kernel=kernel, bandwidth=bandwidth)
+        sigma = _sandwich(fit.z_partialled.T[None], fit.residuals.T[None], hac)[0][0]
         # Oracle: Psi = sum_i sum_t sum_s w(|t-s|/S) s_it s_is' / NT, kernels written out.
         weight = {
             Kernel.BARTLETT: lambda u: max(0.0, 1.0 - u),
@@ -206,12 +205,25 @@ class TestChunking:
 
 
 class TestMemory:
-    @pytest.mark.parametrize("n_units, n_periods, b0", [(100, 240, 80), (5000, 10, 5)])
-    def test_sup_wald_peak_is_a_few_copies_of_the_data(self, n_units, n_periods, b0):
-        panel, _ = generate(DgpConfig(n_units=n_units, n_periods=n_periods, b0=b0, seed=0))
+    @pytest.mark.parametrize("n_units, n_periods, breaks", [
+        pytest.param(100, 240, (80,), id="100-240-80"),
+        pytest.param(5000, 10, (5,), id="5000-10-5"),
+        # The search tests five windows; each frees its engine before the next is built.
+        pytest.param(100, 240, (80, 160), id="sequential_breaks-100-240-80-160"),
+    ])
+    def test_sup_wald_peak_is_a_few_copies_of_the_data(self, n_units, n_periods, breaks):
+        config = DgpConfig(n_units=n_units, n_periods=n_periods, b0=breaks[0], seed=0)
+        panel, _ = generate(config)
+        spec = BreakSpec.from_indices(2, [1])
+        if len(breaks) > 1:  # the break is undone at the second date
+            y = panel.y - config.delta[0] * panel.x[:, :, 1] * (np.arange(1, n_periods + 1) > breaks[1])
+            panel = PanelData(y=y, x=panel.x)
         tracemalloc.start()
         try:
-            sup_wald(panel, BreakSpec.from_indices(2, [1]), sw_critical=8.85)
+            if len(breaks) > 1:
+                assert [br.fit.b_hat for br in sequential_breaks(panel, spec, alpha=0.01)] == list(breaks)
+            else:
+                sup_wald(panel, spec, sw_critical=8.85)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -303,6 +315,25 @@ class TestSequentialBreaks:
         y = x @ np.ones(2) + rng.standard_normal((60, 30))
         spec = BreakSpec.from_indices(2, [1])
         assert sequential_breaks(PanelData(y=y, x=x), spec, alpha=0.01) == []
+
+    def test_one_engine_per_tested_window(self, rng, monkeypatch):
+        engines, windows = [], []
+        init, test = estimator.ProfileEngine.__init__, wald._sup_wald
+
+        def count_engine(self, panels, spec):
+            init(self, panels, spec)
+            engines.append(self.panels[0].n_periods)
+
+        def count_window(*args):
+            windows.append(args[0].panels[0].n_periods)
+            return test(*args)
+
+        monkeypatch.setattr(estimator.ProfileEngine, "__init__", count_engine)
+        monkeypatch.setattr(wald, "_sup_wald", count_window)
+        panel, spec = self._two_break_panel(rng)
+        assert len(sequential_breaks(panel, spec, alpha=0.05, max_breaks=4)) == 2
+        assert windows[0] == 40 and len(windows) >= 3
+        assert engines == windows  # by window length, in the order built and tested
 
     def test_full_sample_result_is_reused(self, rng):
         panel, spec = self._two_break_panel(rng)
