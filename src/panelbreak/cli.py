@@ -1,7 +1,7 @@
 """Command-line surface.
 
-Verbs: ``detect`` (test, then date, then interval, then subsample
-recursion), ``test``, ``estimate``, ``ci``, ``simulate`` (Monte Carlo
+Verbs: ``detect`` (test, then date, then interval, then the search of
+the sub-windows), ``test``, ``estimate``, ``ci``, ``simulate`` (Monte Carlo
 experiment from a key=value config file) and ``tables`` (critical-value
 cache regeneration).
 
@@ -76,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="panelbreak", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, helptext in [
-        ("detect", "test for a break; if found, date it, build the interval, recurse"),
+        ("detect", "test for a break; if found, date it, build the interval, search the sub-windows"),
         ("test", "sup-Wald test only"),
         ("estimate", "SSR profile and break-date estimate only"),
         ("ci", "break-date estimate with confidence interval and coefficients"),

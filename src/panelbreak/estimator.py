@@ -110,6 +110,7 @@ def cce_fit(panel: PanelData, spec: BreakSpec, b: int, mode: ProjectorMode) -> C
     """
     n, t, k = panel.x.shape
     r = spec.n_breaking
+    failure = RankConditionFailure if mode is ProjectorMode.TESTING else RankDeficientDesign
     q = basis(projection_columns(panel, spec, b, mode))
     yt = panel.y - (panel.y @ q) @ q.T
     xt = panel.x - np.einsum("inq,tq->int", np.tensordot(panel.x, q, axes=(1, 0)), q).transpose(0, 2, 1)
@@ -125,20 +126,14 @@ def cce_fit(panel: PanelData, spec: BreakSpec, b: int, mode: ProjectorMode) -> C
     # singular value.
     rank = _scaled_rank(s_x, xs.shape, np.linalg.norm(panel.x))
     if rank < k:
-        msg = f"projected regressors have rank {rank} < k={k} at b={b}"
-        if mode is ProjectorMode.TESTING:
-            raise RankConditionFailure(msg)
-        raise RankDeficientDesign(msg)
+        raise failure(f"projected regressors have rank {rank} < k={k} at b={b}")
     partialled = np.column_stack([ys, zs]) - xs @ coef_y
     ry = partialled[:, 0]
     rz = partialled[:, 1:]
     delta, _, _, s_z = np.linalg.lstsq(rz, ry, rcond=None)
     rank_z = _scaled_rank(s_z, rz.shape, np.linalg.norm(z))
     if rank_z < r:
-        msg = f"partialled break regressors have rank {rank_z} < r={r} at b={b}"
-        if mode is ProjectorMode.TESTING:
-            raise RankConditionFailure(msg)
-        raise RankDeficientDesign(msg)
+        raise failure(f"partialled break regressors have rank {rank_z} < r={r} at b={b}")
     eps = ry - rz @ delta
     ssr = compensated_sum_of_squares(eps)
     ws = np.column_stack([xs, zs])

@@ -223,44 +223,38 @@ def sequential_breaks(
 ) -> "list[DetectedBreak]":
     """One-at-a-time multiple-break search by sample splitting.
 
-    Tests the full sample; on rejection, dates the break, then recurses
-    on the pre and post subsamples whose lengths still admit a nonempty
-    trimmed candidate set. Returns at most ``max_breaks`` breaks, sorted
-    by date. Each window's test and dating come from one profile engine,
-    freed before the search recurses. ``full_sample_wald`` is the
-    full-sample test when the caller has already run it. A statistical
-    error in a sub-window, from testing or from dating, ends the search in
-    that window; in the full sample it is raised.
+    A loop over a stack of windows, the full sample first. A window that rejects
+    has its break dated; its pre and post sub-windows of at least 2r + 2 periods
+    are then searched, depth first, the earlier first. The first ``max_breaks``
+    breaks found are kept, sorted by date. Each window is tested and dated by one
+    profile engine, freed before the next window builds its own. A statistical
+    error in a sub-window ends only that window; in the full sample it is raised.
+    ``full_sample_wald`` is the full-sample test if the caller has run it.
     """
     if max_breaks < 1:
         raise InputError("max_breaks must be >= 1")
     found: list[DetectedBreak] = []
-
-    def search(start: int, stop: int, first: bool) -> None:
-        if len(found) >= max_breaks:
-            return
-        if not first and stop - start + 1 < 2 * spec.n_breaking + 2:
-            return
-        sub = panel.slice_periods(start, stop) if (start, stop) != (1, panel.n_periods) else panel
+    whole = (1, panel.n_periods)
+    windows = [(*whole, full_sample_wald)]
+    while windows and len(found) < max_breaks:
+        start, stop, known = windows.pop()
         try:
-            engine = ProfileEngine([sub], spec)
-            given = full_sample_wald if first else None
-            wald = given if given is not None else _unwrap(_sup_wald(engine, hac, alpha, None)[0])
+            engine = ProfileEngine([panel if (start, stop) == whole else panel.slice_periods(start, stop)], spec)
+            wald = known if known is not None else _unwrap(_sup_wald(engine, hac, alpha, None)[0])
             if not wald.reject_sw:
-                return
+                continue
             fit = _break_fit(engine, alpha, None)
         except StatisticalError:
-            if first:
+            if (start, stop) == whole:
                 raise
-            return
-        del engine  # the window's engine goes before the sub-windows build theirs
+            continue
+        finally:
+            engine = None  # the window's engine goes before the next window builds its own
         offset = start - 1
         split = fit.b_hat + offset
         global_fit = replace(fit, b_hat=split, ci_lower=fit.ci_lower + offset, ci_upper=fit.ci_upper + offset)
         found.append(DetectedBreak(fit=global_fit, window=(start, stop), wald=wald))
-        search(start, split, False)
-        search(split + 1, stop, False)
-
-    search(1, panel.n_periods, True)
+        pre, post = (start, split, None), (split + 1, stop, None)
+        windows += [w for w in (post, pre) if w[1] - w[0] + 1 >= 2 * spec.n_breaking + 2]  # pre is popped first
     found.sort(key=lambda br: br.fit.b_hat)
     return found

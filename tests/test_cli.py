@@ -11,10 +11,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import panelbreak
-from panelbreak import DgpConfig, PanelData, SimConfig, generate, limits
+from panelbreak import BreakSpec, DgpConfig, HacConfig, PanelData, SimConfig, generate, limits, run_experiment, sup_wald
 from panelbreak.cli import EXIT_OK, EXIT_STATISTICAL, EXIT_USAGE, main
 from panelbreak.exceptions import InputError
-from panelbreak.io import write_panel_csv
+from panelbreak.io import load_panel, write_panel_csv
 
 from conftest import zero_tail_panel
 
@@ -154,6 +154,14 @@ class TestOtherVerbs:
         assert len(wald["candidate_dates"]) == len(wald["wald_values"])
         assert wald["sw"] == max(wald["wald_values"])
 
+    def test_integer_bandwidth(self, capsys, null_csv):
+        code, report = run_json(capsys, ["test", *base_args(null_csv), "--bandwidth", "3"])
+        assert code == EXIT_OK
+        panel, spec = load_panel(null_csv, "y", ["x1", "x2"]), BreakSpec.from_indices(2, [1])
+        values = report["stages"]["sup_wald"]["wald_values"]
+        assert values == list(sup_wald(panel, spec, HacConfig(bandwidth=3)).wald_values)
+        assert values != list(sup_wald(panel, spec).wald_values)  # auto is floor(20^(1/3)) = 2
+
     def test_estimate_verb(self, capsys, break_csv):
         code, report = run_json(capsys, ["estimate", *base_args(break_csv)])
         assert code == EXIT_OK
@@ -237,6 +245,13 @@ class TestSimulate:
         assert code == EXIT_OK
         assert report["replications"] == 3
         assert "exact_hit_rate" in report["metrics"]
+
+    def test_text_format(self, capsys, tmp_path):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("n_units = 30\nn_periods = 10\nb0 = 5\nreps = 2\nseed = 2\n")
+        assert main(["simulate", "--config", str(cfg), "--format", "text"]) == EXIT_OK
+        want = run_experiment(DgpConfig(n_units=30, n_periods=10, b0=5, seed=2), reps=2).to_text()
+        assert capsys.readouterr().out == want + "\n"
 
     def test_out_file_is_written_atomically(self, capsys, tmp_path, monkeypatch):
         cfg = tmp_path / "sim.cfg"
@@ -404,9 +419,10 @@ class TestFailureModes:
             limits.clear_memory_cache()
 
     def test_bad_bandwidth(self, capsys, null_csv):
-        argv = ["detect", *base_args(null_csv), "--bandwidth", "wide"]
-        assert main(argv) == EXIT_USAGE
-        capsys.readouterr()
+        for bandwidth in ("wide", "0"):
+            argv = ["detect", *base_args(null_csv), "--bandwidth", bandwidth]
+            assert main(argv) == EXIT_USAGE
+            assert capsys.readouterr().err.startswith("error: ")
 
     def test_collinear_regressors_exit_statistical(self, capsys, tmp_path):
         rng = np.random.default_rng(3)

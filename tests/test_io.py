@@ -438,6 +438,17 @@ class TestGridBuilder:
         message = self.same_error(path, UnbalancedPanel, common_path=common_path)
         assert message == "common rows cover unknown times [4]"
 
+    @pytest.mark.parametrize("rows, error, message", [
+        (["2,0.8", "3,nan"], DuplicateObservation, "duplicate common row for time 2"),
+        (["3,nan", "2,0.8"], NonFiniteValue, "non-finite common regressor at time 3"),
+    ], ids=["duplicate-first", "nonfinite-first"])
+    def test_repeated_common_time(self, rng, tmp_path, rows, error, message):
+        # Time 2 repeats and time 3 is non-finite: the earlier row in the file decides.
+        path, common_path = tmp_path / "p.csv", tmp_path / "d.csv"
+        write_records(path, panel_records(rng, 2, 3, 1), 1)
+        write_csv(common_path, ["time,trend", "1,0.5", "2,0.7", *rows])
+        assert self.same_error(path, error, common_path=common_path) == message
+
     def test_paper_sized_panel(self, rng, tmp_path):
         # The application's dimensions: 61 countries over 38 weeks, three regressors.
         path = tmp_path / "p.csv"

@@ -1,6 +1,8 @@
 """Wald statistics, HAC covariances and the sequential break search."""
 
+import gc
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -139,6 +141,20 @@ class TestWaldStatistic:
         assert np.allclose(sigma, omega_inv @ psi @ omega_inv, rtol=0.0, atol=1e-10)
 
 
+def empty_candidates_case(rng):
+    """A panel too short for any trimmed candidate date, and its spec."""
+    return random_panel(rng, n=5, t=4, k=2), BreakSpec.from_indices(2, [0, 1])
+
+
+def all_candidates_failing_case(rng):
+    """A panel whose regressors are pure factor terms, so every candidate fails the rank condition."""
+    f = rng.standard_normal((12, 2))
+    big_gamma = rng.standard_normal((8, 2, 2))
+    x = np.einsum("tm,imk->itk", f, big_gamma)
+    y = x @ np.ones(2) + rng.standard_normal((8, 12))
+    return PanelData(y=y, x=x), BreakSpec.from_indices(2, [1])
+
+
 class TestSupWald:
     def test_profile_structure(self, rng):
         panel = random_panel(rng, n=15, t=20, k=2)
@@ -151,10 +167,8 @@ class TestSupWald:
         assert result.excluded_dates == ()
 
     def test_empty_candidates_raise(self, rng):
-        panel = random_panel(rng, n=5, t=4, k=2)
-        spec = BreakSpec.from_indices(2, [0, 1])
         with pytest.raises(EmptyCandidateSet):
-            sup_wald(panel, spec, sw_critical=1.0)
+            sup_wald(*empty_candidates_case(rng), sw_critical=1.0)
 
     def test_alpha_domain(self, rng):
         panel = random_panel(rng, n=5, t=12, k=2)
@@ -163,14 +177,8 @@ class TestSupWald:
             sup_wald(panel, spec, alpha=1.0, sw_critical=1.0)
 
     def test_all_candidates_failing_raise(self, rng):
-        f = rng.standard_normal((12, 2))
-        big_gamma = rng.standard_normal((8, 2, 2))
-        x = np.einsum("tm,imk->itk", f, big_gamma)
-        y = x @ np.ones(2) + rng.standard_normal((8, 12))
-        panel = PanelData(y=y, x=x)
-        spec = BreakSpec.from_indices(2, [1])
         with pytest.raises(RankConditionFailure):
-            sup_wald(panel, spec, sw_critical=1.0)
+            sup_wald(*all_candidates_failing_case(rng), sw_critical=1.0)
 
 
 class TestChunking:
@@ -355,6 +363,42 @@ class TestSequentialBreaks:
         spec = BreakSpec.from_indices(2, [1])
         found = sequential_breaks(panel, spec, alpha=0.01)
         assert [br.fit.b_hat for br in found] == [80, 160]
+
+    def test_short_sub_window_is_skipped(self, monkeypatch):
+        # A break at 3 leaves a pre window 1..3, shorter than 2r + 2 = 4:
+        # it gets no engine and ends quietly; only 4..40 is searched further.
+        engines, init = [], estimator.ProfileEngine.__init__
+
+        def count_engine(self, panels, spec):
+            init(self, panels, spec)
+            engines.append(self.panels[0].n_periods)
+
+        monkeypatch.setattr(estimator.ProfileEngine, "__init__", count_engine)
+        panel, spec = self._two_break_panel(np.random.default_rng(1), b1=3, b2=40)  # no second break
+        found = sequential_breaks(panel, spec, alpha=0.05, max_breaks=4)
+        assert [(br.fit.b_hat, br.window) for br in found] == [(3, (1, 40))]
+        assert engines == [40, 37]
+
+    @pytest.mark.parametrize("case, error", [
+        pytest.param(empty_candidates_case, EmptyCandidateSet, id="empty-candidates"),
+        pytest.param(all_candidates_failing_case, RankConditionFailure, id="all-candidates-failing"),
+    ])
+    def test_full_sample_error_is_raised(self, rng, case, error):
+        with pytest.raises(error):
+            sequential_breaks(*case(rng))
+
+    def test_search_leaves_no_reference_cycle(self, rng):
+        # Without the cyclic collector, the panel must go as soon as the caller drops it.
+        panel, spec = self._two_break_panel(rng)
+        alive = weakref.ref(panel)
+        gc.disable()
+        try:
+            found = sequential_breaks(panel, spec, alpha=0.05, max_breaks=4)
+            del panel
+            assert alive() is None
+        finally:
+            gc.enable()
+        assert len(found) == 2
 
     def test_max_breaks_domain(self, rng):
         panel = random_panel(rng, n=5, t=12, k=2)
