@@ -207,10 +207,6 @@ def _emit(args, report: dict) -> None:
         text = json.dumps(report, indent=1, sort_keys=True) + "\n"
     else:
         text = _render_text(report)
-    _write_out(args, text)
-
-
-def _write_out(args, text: str) -> None:
     if args.out:
         write_text_atomic(args.out, text)
     else:
@@ -326,12 +322,7 @@ def _sim_value(key: str, value: str):
 def _cmd_simulate(args) -> int:
     values = {k: _sim_value(k, v) for k, v in read_keyvalue_config(args.config).items()}
     run = {k: values.pop(k) for k in ("pipeline", "reps", "alpha") if k in values}
-    report = run_experiment(DgpConfig(**values), **run)
-    if args.format == "json":
-        text = report.to_json() + "\n"
-    else:
-        text = report.to_text() + "\n"
-    _write_out(args, text)
+    _emit(args, run_experiment(DgpConfig(**values), **run).to_dict())
     return EXIT_OK
 
 

@@ -9,15 +9,13 @@ testing pipelines against the sealed truth record.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .estimator import ProfileEngine, _intervals
-from .exceptions import ConfigInvariantViolation, ExperimentError, InputError, PanelBreakError
-from .limits import argmax_quantile, sup_bessel_critical
+from .exceptions import ConfigInvariantViolation, ExperimentError, PanelBreakError
 from .panel import BreakSpec, PanelData
 from .wald import _sup_wald
 
@@ -160,19 +158,6 @@ class ExperimentReport:
             },
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=1, sort_keys=True)
-
-    def to_text(self) -> str:
-        lines = [
-            f"replications: {self.replications}   pipeline: {self.pipeline}   "
-            f"errors: {self.n_errors}",
-            f"{'metric':<24}{'value':>12}{'mc se':>12}",
-        ]
-        for name, (val, se) in sorted(self.metrics.items()):
-            lines.append(f"{name:<24}{val:>12.4f}{se:>12.4f}")
-        return "\n".join(lines)
-
 
 def _rate(flags) -> tuple:
     p = float(np.mean(flags))
@@ -194,12 +179,13 @@ def run_experiment(config: DgpConfig, pipeline: str = "FULL", reps: int = 100, a
                    c_alpha: float | None = None, sw_critical: float | None = None) -> ExperimentReport:
     """Run ``reps`` replications of ESTIMATE, TEST or FULL and aggregate.
 
-    Critical values (``c_alpha`` for the date interval, ``sw_critical``
-    for the sup-Wald test) are resolved once from the cache so that the
-    replication loop never re-simulates limit laws; the test uses
-    ``HacConfig()``. Each replication draws its panel from its own spawned
-    seed, in order; the panels are fitted ``_STACK`` at a time by one
-    ``ProfileEngine``, each as it would be alone, and scored in order.
+    Each stage looks up its critical value (``c_alpha`` for the date
+    interval, ``sw_critical`` for the sup-Wald test) once per stack when
+    it is None, and raises on an alpha outside its range before any
+    replication is scored; the test uses ``HacConfig()``. Each
+    replication draws its panel from its own spawned seed, in order; the
+    panels are fitted ``_STACK`` at a time by one ``ProfileEngine``, each
+    as it would be alone, and scored in order.
     Replications that error are counted; more than ``MAX_ERROR_FRACTION``
     of them abort, to surface systematic failures.
     """
@@ -208,18 +194,9 @@ def run_experiment(config: DgpConfig, pipeline: str = "FULL", reps: int = 100, a
         raise ConfigInvariantViolation(f"unknown pipeline {pipeline!r}")
     if reps < 1:
         raise ConfigInvariantViolation("reps must be >= 1")
-    # The alpha ranges of the interval and of sup_wald, checked before any replication.
-    if pipeline == "ESTIMATE" and not 0.0 < alpha <= 1.0:
-        raise InputError("alpha must lie in (0, 1]")
-    if pipeline != "ESTIMATE" and not 0.0 < alpha < 1.0:
-        raise InputError("alpha must lie in (0, 1)")
     estimate = pipeline in {"ESTIMATE", "FULL"}
     test = pipeline in {"TEST", "FULL"}
     spec = config.break_spec()
-    if estimate and c_alpha is None:
-        c_alpha = argmax_quantile(1.0 - alpha / 2.0)
-    if test and sw_critical is None:
-        sw_critical = sup_bessel_critical(spec.n_breaking, spec.trim_fraction, alpha)
 
     root = np.random.SeedSequence(config.seed)  # each stack spawns its children as it is drawn
     hits, abs_errors, covered, widths, rejections = [], [], [], [], []

@@ -458,16 +458,11 @@ class BreakFit:
     ci_clamped: bool = False
 
 
-def _interval(panel, spec, b_hat, alpha, c_alpha, fit):
-    """(lower, upper, clamped), the level 1 - alpha interval at ``b_hat`` clamped to [1, T-1], with the
-    ESTIMATION ``fit`` there (or its error) and the moments from it. ``c_alpha``, the (1 - alpha/2)
-    percentile of the argmax limit law, is looked up when None."""
-    if not (0.0 < alpha <= 1.0):
-        raise InputError("alpha must lie in (0, 1]")
+def _interval(panel, spec, b_hat, c_alpha, fit):
+    """(lower, upper, clamped), the interval at ``b_hat`` of half-width set by ``c_alpha`` clamped to
+    [1, T-1], with the ESTIMATION ``fit`` there (or its error) and the moments from it."""
     fit = _unwrap(fit)
     omega, phi, sigma_i = moment_estimates(panel, fit)
-    if c_alpha is None:
-        c_alpha = argmax_quantile(1.0 - alpha / 2.0)
     w = interval_half_width(fit.delta, spec.selection, omega, phi, panel.n_units, c_alpha)
     lower, upper = b_hat - w, b_hat + w
     t_max = panel.n_periods - 1
@@ -476,17 +471,22 @@ def _interval(panel, spec, b_hat, alpha, c_alpha, fit):
 
 
 def _intervals(engine: ProfileEngine, alpha, c_alpha) -> list:
-    """Each panel's (profile, interval, fit at b̂, moments), or the error it raised.
+    """Each panel's (profile, level 1 - alpha interval, fit at b̂, moments), or the error it raised.
 
+    ``c_alpha``, the (1 - alpha/2) percentile of the argmax limit law, is looked up once when None.
     The ESTIMATION fits at the panels' argmins come from one stacked solve.
     """
+    if not (0.0 < alpha <= 1.0):
+        raise InputError("alpha must lie in (0, 1]")
+    if c_alpha is None:
+        c_alpha = argmax_quantile(1.0 - alpha / 2.0)
     profiles = engine.profiles()
     done = [s for s, profile in enumerate(profiles) if isinstance(profile, SsrProfile)]
     fits = dict(zip(done, engine.fit(done, [profiles[s].b_hat for s in done], ProjectorMode.ESTIMATION)))
 
     def interval(s):
         b_hat = _unwrap(profiles[s]).b_hat
-        return profiles[s], *_interval(engine.panels[s], engine.spec, b_hat, alpha, c_alpha, fits[s])
+        return profiles[s], *_interval(engine.panels[s], engine.spec, b_hat, c_alpha, fits[s])
 
     return [_attempt(interval, s) for s in range(len(profiles))]
 

@@ -258,6 +258,8 @@ def load_tables(payload: dict) -> int:
                 "seed": int(raw["seed"]),
                 "quantiles": {str(k): float(v) for k, v in raw["quantiles"].items()},
             }
+            if not all(0.0 < q < math.inf for q in entry["quantiles"].values()):
+                raise ValueError("a sup-Bessel quantile must be finite and positive")
         except (AttributeError, KeyError, TypeError, ValueError) as err:
             raise InputError(f"malformed cache entry: {err!r}") from None
         _store(entry)

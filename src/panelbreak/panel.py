@@ -144,6 +144,8 @@ class BreakSpec:
         """Spec selecting 0-based regressor coordinates ``breaking``."""
         sel = np.zeros((k, len(breaking)))
         for j, idx in enumerate(breaking):
+            if not (isinstance(idx, (int, np.integer)) and 0 <= idx < k):
+                raise InputError(f"breaking index {idx!r} is not an integer in [0, {k})")
             sel[idx, j] = 1.0
         return cls(selection=sel, **kwargs)
 

@@ -157,7 +157,10 @@ def sup_wald(panel: PanelData, spec: BreakSpec, hac: HacConfig | None = None, al
 
 
 def _sup_wald(engine: ProfileEngine, hac, alpha, sw_critical) -> list:
-    """Each panel's sup-Wald result, or the error it raised, from the stack's TESTING fits."""
+    """Each panel's sup-Wald result, or the error it raised, from the stack's TESTING fits.
+
+    The critical values are looked up once for the stack, and ``sw_critical`` only when None.
+    """
     spec, hac, t = engine.spec, hac or HacConfig(), engine.panels[0].n_periods
     if not (0.0 < alpha < 1.0):
         raise InputError("alpha must lie in (0, 1)")
@@ -165,6 +168,9 @@ def _sup_wald(engine: ProfileEngine, hac, alpha, sw_critical) -> list:
     if not candidates:
         empty = EmptyCandidateSet(f"trimmed candidate set is empty for T={t}, eps={spec.trim_fraction}")
         return [empty] * len(engine.panels)
+    if sw_critical is None:
+        sw_critical = sup_bessel_critical(spec.n_breaking, spec.trim_fraction, alpha)
+    chi2_critical = chi_squared_quantile(spec.n_breaking, 1.0 - alpha)
     fast, rank_failures, reps = {}, {}, range(len(engine.panels))
     for fits in engine.fits(reps, [candidates] * len(reps), ProjectorMode.TESTING):
         stats, singular = _wald_stats(fits.delta, fits.resid, fits.z_partialled, hac)
@@ -192,11 +198,9 @@ def _sup_wald(engine: ProfileEngine, hac, alpha, sw_critical) -> list:
             raise RankConditionFailure(f"every candidate failed the rank condition: {last_error}")
         sw_index = int(np.argmax(values))
         sw = values[sw_index]
-        critical = sw_critical if sw_critical is not None else sup_bessel_critical(
-            spec.n_breaking, spec.trim_fraction, alpha)
         return WaldResult(
-            candidate_dates=tuple(dates), wald_values=tuple(values), sw=sw, sw_critical=critical,
-            chi2_critical=chi_squared_quantile(spec.n_breaking, 1.0 - alpha), reject_sw=bool(sw > critical),
+            candidate_dates=tuple(dates), wald_values=tuple(values), sw=sw, sw_critical=sw_critical,
+            chi2_critical=chi2_critical, reject_sw=bool(sw > sw_critical),
             argmax_date=dates[sw_index], trim_fraction=spec.trim_fraction, r=spec.n_breaking, alpha=alpha,
             excluded_dates=tuple(excluded),
         )

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import panelbreak
 from panelbreak import BreakSpec, DgpConfig, HacConfig, PanelData, SimConfig, generate, limits, run_experiment, sup_wald
-from panelbreak.cli import EXIT_OK, EXIT_STATISTICAL, EXIT_USAGE, main
+from panelbreak.cli import EXIT_INTERNAL, EXIT_OK, EXIT_STATISTICAL, EXIT_USAGE, _render_text, main
 from panelbreak.exceptions import InputError
 from panelbreak.io import load_panel, write_panel_csv
 
@@ -250,8 +250,8 @@ class TestSimulate:
         cfg = tmp_path / "sim.cfg"
         cfg.write_text("n_units = 30\nn_periods = 10\nb0 = 5\nreps = 2\nseed = 2\n")
         assert main(["simulate", "--config", str(cfg), "--format", "text"]) == EXIT_OK
-        want = run_experiment(DgpConfig(n_units=30, n_periods=10, b0=5, seed=2), reps=2).to_text()
-        assert capsys.readouterr().out == want + "\n"
+        want = run_experiment(DgpConfig(n_units=30, n_periods=10, b0=5, seed=2), reps=2).to_dict()
+        assert capsys.readouterr().out == _render_text(want)
 
     def test_out_file_is_written_atomically(self, capsys, tmp_path, monkeypatch):
         cfg = tmp_path / "sim.cfg"
@@ -307,6 +307,14 @@ class TestSimulate:
         cfg.write_text(f"n_units = 30\nn_periods = 10\nreps = 2\npipeline = {pipeline}\nalpha = {alpha}\n")
         assert main(["simulate", "--config", str(cfg)]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: alpha must lie in (0, 1")
+
+    def test_every_replication_failing_is_internal_error(self, capsys, tmp_path):
+        # T = 2 leaves no candidate date in any replication.
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("n_units = 30\nn_periods = 2\nb0 = none\nreps = 3\n")
+        assert main(["simulate", "--config", str(cfg)]) == EXIT_INTERNAL
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("internal error: ")
 
     def test_none_only_for_b0(self, capsys, tmp_path):
         cfg = tmp_path / "sim.cfg"
@@ -371,6 +379,10 @@ class TestTables:
         code = main(["tables", "--orders", "0", "--out", str(tmp_path / "c.json")])
         capsys.readouterr()
         assert code == EXIT_USAGE
+        argv = ["tables", "--orders", "1", "--trims", "0.7", "--n-paths", "10", "--out", str(tmp_path / "c.json")]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: trimming fraction must lie in (0, 0.5)\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestFailureModes:
@@ -391,6 +403,9 @@ class TestFailureModes:
         argv = ["detect", "--input", null_csv, "--y", "y", "--x", "x1,x2", "--break-x", "x9"]
         assert main(argv) == EXIT_USAGE
         capsys.readouterr()
+        argv = ["detect", "--input", null_csv, "--y", "y", "--x", ",", "--break-x", "x2"]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: expected a non-empty comma-separated name list\n"
 
     def test_seed_is_only_a_tables_option(self, capsys, null_csv):
         # Nothing in detect, test, estimate or ci is random.

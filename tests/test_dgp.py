@@ -12,6 +12,7 @@ from panelbreak.dgp import _ar1_factors
 from panelbreak.exceptions import (
     ConfigInvariantViolation,
     ExperimentError,
+    InputError,
     RankConditionFailure,
     RankDeficientDesign,
     ZeroBreakMagnitude,
@@ -161,10 +162,8 @@ class TestRunExperiment:
         report = run_experiment(
             DgpConfig(n_units=30, seed=5), "ESTIMATE", reps=2, c_alpha=11.0
         )
-        parsed = json.loads(report.to_json())
-        assert parsed == report.to_dict()
-        text = report.to_text()
-        assert "exact_hit_rate" in text
+        assert json.loads(json.dumps(report.to_dict())) == report.to_dict()
+        assert "exact_hit_rate" in report.to_dict()["metrics"]
 
     def test_systematic_failures_abort(self):
         # T = 2r leaves an empty candidate set in every replication.
@@ -222,6 +221,33 @@ class TestRunExperiment:
     def test_bad_pipeline(self):
         with pytest.raises(ConfigInvariantViolation):
             run_experiment(DgpConfig(), pipeline="GUESS", reps=1)
+        with pytest.raises(ConfigInvariantViolation, match="reps must be >= 1"):
+            run_experiment(DgpConfig(), reps=0)
+
+    @pytest.mark.parametrize("pipeline, alpha, kwargs, error", [
+        ("ESTIMATE", 0.0, {}, "(0, 1]"),
+        ("ESTIMATE", 1.5, {}, "(0, 1]"),
+        ("ESTIMATE", 1.0, {}, None),
+        ("ESTIMATE", 0.0, {"c_alpha": 11.0}, "(0, 1]"),
+        ("TEST", 1.0, {}, "(0, 1)"),
+        ("TEST", 1.0, {"sw_critical": 8.85}, "(0, 1)"),
+        ("TEST", 0.0, {}, "(0, 1)"),
+        ("FULL", 1.0, {}, "(0, 1)"),
+        ("FULL", -1.0, {}, "(0, 1)"),
+        ("FULL", float("nan"), {}, "(0, 1)"),
+    ])
+    def test_alpha_range_is_checked_by_its_stage(self, monkeypatch, pipeline, alpha, kwargs, error):
+        scored = []
+        rate = dgp._rate
+        monkeypatch.setattr(dgp, "_rate", lambda flags: scored.append(flags) or rate(flags))
+        config = DgpConfig(n_units=30, seed=5)
+        if error is None:
+            assert run_experiment(config, pipeline, reps=2, alpha=alpha, **kwargs).n_errors == 0
+            assert scored
+            return
+        with pytest.raises(InputError) as raised:
+            run_experiment(config, pipeline, reps=2, alpha=alpha, **kwargs)
+        assert str(raised.value) == f"alpha must lie in {error}" and scored == []
 
 
 def _bits(outcome):
@@ -296,7 +322,7 @@ def test_stacked_experiment_is_the_replications_one_at_a_time(reps):
         "rejection_rate": dgp._rate(rejections),
     }
     report = run_experiment(config, "FULL", reps=reps, c_alpha=c_alpha, sw_critical=sw_critical)
-    assert report.to_json() == dgp.ExperimentReport(reps, "FULL", metrics, 0).to_json()
+    assert report.to_dict() == dgp.ExperimentReport(reps, "FULL", metrics, 0).to_dict()
 
 
 def test_seeds_are_spawned_a_stack_at_a_time(monkeypatch):

@@ -74,6 +74,9 @@ class TestReadPanel:
         write_csv(path, ["unit,time,y,x1", "a,1,1.0,0.5", "a,2,1.0"])
         with pytest.raises(RaggedRow):
             read_panel_rows(path, y="y", x_names=["x1"])
+        write_csv(path, ["unit,time,y,x1", "a,1,1.0,0.5", "a,2,1.0,0.5"])
+        with pytest.raises(RaggedRow, match="rows need at least"):
+            load_panel(path, y="y", x_names=[])
 
     def test_non_numeric_value(self, tmp_path):
         path = tmp_path / "p.csv"
@@ -159,6 +162,8 @@ class TestReadPanel:
             assert len(read_panel_rows(path, y="y", x_names=["x1"])) == 2
             write_csv(path, ["unit,time,y,x1"])
             assert len(read_panel_rows(path, y="y", x_names=["x1"])) == 0
+            with pytest.raises(InputError, match="no observations supplied"):
+                load_panel(path, y="y", x_names=["x1"])
 
     def test_undecodable_file_is_an_input_error(self, tmp_path):
         # A Latin-1 export: the unit label \xe9 is no UTF-8.

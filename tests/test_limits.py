@@ -192,6 +192,14 @@ class TestCacheIO:
         with pytest.raises(InputError, match="malformed cache entry"):
             load_tables({"schema_version": 2, "tables": [entry]})
 
+    @pytest.mark.parametrize("quantile", [float("nan"), float("inf"), -3.0])
+    def test_quantile_not_finite_and_positive_rejected(self, quantile):
+        sup_bessel_critical(1, 0.15, 0.05)
+        # Another seed: an entry that slipped through would not shadow the shipped one.
+        entry = dict(dump_tables()["tables"][0], seed=1, quantiles={"0.950000": quantile})
+        with pytest.raises(InputError, match="malformed cache entry"):
+            load_tables({"schema_version": 2, "tables": [entry]})
+
     def test_atomic_write_leaves_no_temp(self, tmp_path):
         path = tmp_path / "cache.json"
         write_cache(path, {"schema_version": 1, "tables": []})
@@ -241,3 +249,5 @@ class TestDomains:
             SimConfig(n_paths=0)
         with pytest.raises(InputError):
             SimConfig(grid_points=5)
+        with pytest.raises(InputError, match="tau grid too coarse"):
+            sup_bessel_critical(1, 0.45, 0.05, SimConfig(n_paths=10, grid_points=10))

@@ -24,6 +24,20 @@ class TestPanelData:
         with pytest.raises(InputError):
             PanelData(y=np.zeros((3, 1)), x=np.zeros((3, 1, 1)))
 
+    @pytest.mark.parametrize("fields, error", [
+        ({"y": np.zeros(6)}, "y must be an N x T matrix"),
+        ({"x": np.zeros((2, 3))}, "x must be an N x T x k tensor"),
+        ({"x": np.zeros((2, 4, 1))}, "x has leading shape"),
+        ({"y": np.full((2, 3), np.nan)}, "panel contains non-finite values"),
+        ({"d": np.ones((2, 1))}, "d must be a T x n matrix"),
+        ({"d": np.full((3, 1), np.inf)}, "common regressors contain non-finite values"),
+        ({"unit_labels": ("a",)}, "label lengths do not match"),
+        ({"time_labels": (1, 2)}, "label lengths do not match"),
+    ])
+    def test_malformed_fields_raise(self, fields, error):
+        with pytest.raises(InputError, match=error):
+            PanelData(**{"y": np.zeros((2, 3)), "x": np.zeros((2, 3, 1)), **fields})
+
     def test_arrays_frozen(self, rng):
         panel = random_panel(rng, n=2, t=3, k=1)
         with pytest.raises(ValueError):
@@ -50,6 +64,11 @@ class TestBreakSpec:
         assert spec.n_breaking == 2
         assert np.argmax(spec.selection, axis=0).tolist() == [1, 3]
 
+    @pytest.mark.parametrize("breaking", [[-1], [2], [0, 5], [0.5]])
+    def test_from_indices_rejects_index_outside_k(self, breaking):
+        with pytest.raises(InputError, match="is not an integer in \\[0, 2\\)"):
+            BreakSpec.from_indices(2, breaking)
+
     @given(
         k=st.integers(min_value=1, max_value=8),
         data=st.data(),
@@ -72,6 +91,10 @@ class TestBreakSpec:
             BreakSpec(selection=np.array([[0.5], [0.5]]))
         with pytest.raises(InputError):
             BreakSpec(selection=np.array([[1.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(InputError, match="k x r matrix"):
+            BreakSpec(selection=np.array([1.0, 0.0]))
+        with pytest.raises(InputError, match="more breaking coefficients than regressors"):
+            BreakSpec(selection=np.eye(1, 2))
 
     def test_trim_fraction_domain(self):
         with pytest.raises(InputError):

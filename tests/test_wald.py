@@ -176,6 +176,16 @@ class TestSupWald:
         with pytest.raises(InputError):
             sup_wald(panel, spec, alpha=1.0, sw_critical=1.0)
 
+    def test_critical_value_is_looked_up_once_per_stack(self, rng, monkeypatch):
+        calls = []
+        lookup = wald.sup_bessel_critical
+        monkeypatch.setattr(wald, "sup_bessel_critical", lambda *args: calls.append(args) or lookup(*args))
+        spec = BreakSpec.from_indices(2, [1])
+        engine = estimator.ProfileEngine([random_panel(rng, n=15, t=20, k=2) for _ in range(5)], spec)
+        results = wald._sup_wald(engine, None, 0.05, None)
+        assert calls == [(1, 0.15, 0.05)]
+        assert {result.sw_critical for result in results} == {lookup(1, 0.15, 0.05)}
+
     def test_all_candidates_failing_raise(self, rng):
         with pytest.raises(RankConditionFailure):
             sup_wald(*all_candidates_failing_case(rng), sw_critical=1.0)
