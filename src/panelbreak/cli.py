@@ -328,12 +328,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_tables(args) -> int:
     orders = _parse_numbers(args.orders, int, "--orders")
-    if any(r < 1 for r in orders):
-        raise InputError("Bessel orders must be >= 1")
     trims = _parse_numbers(args.trims, float, "--trims")
     alphas = _parse_numbers(args.alphas, float, "--alphas")
-    if not all(0.0 < a < 1.0 for a in alphas):
-        raise InputError("--alphas must lie in (0, 1)")
     sim = limits.SimConfig(n_paths=args.n_paths, seed=args.seed)
     payload = limits.generate_tables(sim, orders, trims, alphas)
     out = args.out or os.fspath(limits._packaged_cache_path())

@@ -49,6 +49,8 @@ class DgpConfig:
             raise ConfigInvariantViolation("need N >= 2, T >= 2, k >= 1")
         if not (1 <= self.r <= self.k):
             raise ConfigInvariantViolation("need 1 <= r <= k")
+        if self.n_known < 0:
+            raise ConfigInvariantViolation("n_known must be >= 0")
         if not (0 <= self.m <= self.k):
             raise ConfigInvariantViolation("rank condition needs 0 <= m <= k")
         if not (self.m <= self.r):
@@ -175,14 +177,13 @@ MAX_ERROR_FRACTION = 0.01
 _STACK = 5
 
 
-def run_experiment(config: DgpConfig, pipeline: str = "FULL", reps: int = 100, alpha: float = 0.05,
-                   c_alpha: float | None = None, sw_critical: float | None = None) -> ExperimentReport:
+def run_experiment(config: DgpConfig, pipeline: str = "FULL", reps: int = 100, alpha: float = 0.05) -> ExperimentReport:
     """Run ``reps`` replications of ESTIMATE, TEST or FULL and aggregate.
 
-    Each stage looks up its critical value (``c_alpha`` for the date
-    interval, ``sw_critical`` for the sup-Wald test) once per stack when
-    it is None, and raises on an alpha outside its range before any
-    replication is scored; the test uses ``HacConfig()``. Each
+    Each stage looks up its critical value (the argmax law's for the date
+    interval, the sup-Bessel law's for the sup-Wald test) once per stack,
+    and raises on an alpha outside its range before any replication is
+    scored; the test uses ``HacConfig()``. Each
     replication draws its panel from its own spawned seed, in order; the
     panels are fitted ``_STACK`` at a time by one ``ProfileEngine``, each
     as it would be alone, and scored in order.
@@ -206,8 +207,8 @@ def run_experiment(config: DgpConfig, pipeline: str = "FULL", reps: int = 100, a
         drawn = [generate(config, seed=seed) for seed in root.spawn(min(_STACK, reps - start))]
         engine = ProfileEngine([panel for panel, _ in drawn], spec)  # one for both stages
         skipped = [None] * len(drawn)
-        tests = _sup_wald(engine, None, alpha, sw_critical) if test else skipped  # first: no b̂ fit is held then
-        intervals = _intervals(engine, alpha, c_alpha) if estimate else skipped
+        tests = _sup_wald(engine, None, alpha) if test else skipped  # first: no b̂ fit is held then
+        intervals = _intervals(engine, alpha) if estimate else skipped
         for s, ((_, truth), interval, result) in enumerate(zip(drawn, intervals, tests)):
             # A replication counts in every metric or, when a stage raised, in none.
             if isinstance(interval, PanelBreakError) or isinstance(result, PanelBreakError):

@@ -470,16 +470,15 @@ def _interval(panel, spec, b_hat, c_alpha, fit):
     return interval, fit, (omega, phi, sigma_i)
 
 
-def _intervals(engine: ProfileEngine, alpha, c_alpha) -> list:
+def _intervals(engine: ProfileEngine, alpha) -> list:
     """Each panel's (profile, level 1 - alpha interval, fit at b̂, moments), or the error it raised.
 
-    ``c_alpha``, the (1 - alpha/2) percentile of the argmax limit law, is looked up once when None.
+    ``c_alpha``, the (1 - alpha/2) percentile of the argmax limit law, is looked up once.
     The ESTIMATION fits at the panels' argmins come from one stacked solve.
     """
     if not (0.0 < alpha <= 1.0):
         raise InputError("alpha must lie in (0, 1]")
-    if c_alpha is None:
-        c_alpha = argmax_quantile(1.0 - alpha / 2.0)
+    c_alpha = argmax_quantile(1.0 - alpha / 2.0)
     profiles = engine.profiles()
     done = [s for s, profile in enumerate(profiles) if isinstance(profile, SsrProfile)]
     fits = dict(zip(done, engine.fit(done, [profiles[s].b_hat for s in done], ProjectorMode.ESTIMATION)))
@@ -516,15 +515,15 @@ def _theta(panel, spec, fit: CceFit):
     return theta, cov
 
 
-def fit_break(panel: PanelData, spec: BreakSpec, alpha: float = 0.05, c_alpha: float | None = None) -> BreakFit:
+def fit_break(panel: PanelData, spec: BreakSpec, alpha: float = 0.05) -> BreakFit:
     """Full dating pipeline: profile, argmin, interval, coefficients, all from one engine."""
-    return _break_fit(ProfileEngine([panel], spec), alpha, c_alpha)
+    return _break_fit(ProfileEngine([panel], spec), alpha)
 
 
-def _break_fit(engine: ProfileEngine, alpha, c_alpha) -> BreakFit:
+def _break_fit(engine: ProfileEngine, alpha) -> BreakFit:
     """``fit_break`` of a lone panel's engine, which may already have served its sup-Wald."""
     panel, spec = engine.panels[0], engine.spec
-    profile, (lower, upper, clamped), fit, (omega, phi, sigma_i) = _unwrap(_intervals(engine, alpha, c_alpha)[0])
+    profile, (lower, upper, clamped), fit, (omega, phi, sigma_i) = _unwrap(_intervals(engine, alpha)[0])
     theta, cov = _theta(panel, spec, _unwrap(engine.fit([0], [profile.b_hat], ProjectorMode.TESTING)[0]))
     return BreakFit(
         b_hat=profile.b_hat, delta_hat=fit.delta, theta_hat=theta, theta_cov=cov,

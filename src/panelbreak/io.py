@@ -246,6 +246,8 @@ def read_keyvalue_config(path) -> dict:
                 if "=" not in line:
                     raise InputError(f"{path}:{lineno}: expected key = value")
                 key, value = (part.strip() for part in line.split("=", 1))
+                if key in out:
+                    raise InputError(f"{path}:{lineno}: key {key!r} is named more than once")
                 out[key] = value
     except UnicodeDecodeError as err:
         raise InputError(f"{path}: not UTF-8 text ({err.reason})") from None

@@ -46,6 +46,8 @@ class SimConfig:
     def __post_init__(self):
         if self.n_paths < 1 or self.grid_points < 10:
             raise InputError("invalid simulation config")
+        if self.seed < 0:
+            raise InputError("seed must be >= 0")
 
 
 def _entry_key(entry: dict) -> tuple:
@@ -78,26 +80,31 @@ def _chi_squared_cdf(x: float, r: int, upper: bool = False) -> float:
     """CDF of the chi-squared law with r degrees of freedom, for x >= 0,
     or with ``upper`` its survival function 1 - CDF.
 
-    Even r: the survival function is e^{-x/2} sum_{j < r/2} (x/2)^j / j!.
-    Odd r: it is erfc(sqrt(x/2)) + s(x), and the CDF is erf(sqrt(x/2)) - s(x),
-    with s(x) = sqrt(2/pi) e^{-x/2} sum_{j=1}^{(r-1)/2} x^{j-1/2} / (1*3*...*(2j-1)).
+    CDF: the regularized-gamma series e^{-h} h^a / Gamma(a+1) sum_k h^k / ((a+1)...(a+k)),
+    with h = x/2 and a = r/2. Its terms are positive, so nothing cancels at small x.
+    Survival, even r: e^{-h} sum_{j < a} h^j / j!. Odd r: erfc(sqrt(h)) + s(x),
+    with s(x) = sqrt(2/pi) e^{-h} sum_{j=1}^{(r-1)/2} x^{j-1/2} / (1*3*...*(2j-1)).
     """
-    half = 0.5 * x
+    half, a = 0.5 * x, 0.5 * r
+    if not upper:
+        term = total = 1.0
+        k = 1
+        while term > 1e-17 * total:
+            term *= half / (a + k)
+            total += term
+            k += 1
+        return math.exp(-half) * half**a / math.gamma(a + 1.0) * total
     if r % 2 == 0:
         term = total = 1.0
         for j in range(1, r // 2):
             term *= half / j
             total += term
-        tail = math.exp(-half) * total
-        return tail if upper else 1.0 - tail
+        return math.exp(-half) * total
     term, total = math.sqrt(x), 0.0
     for j in range(1, (r + 1) // 2):
         total += term
         term *= x / (2 * j + 1)
-    series = math.sqrt(2.0 / math.pi) * math.exp(-half) * total
-    if upper:
-        return math.erfc(math.sqrt(half)) + series
-    return math.erf(math.sqrt(half)) - series
+    return math.erfc(math.sqrt(half)) + math.sqrt(2.0 / math.pi) * math.exp(-half) * total
 
 
 @functools.lru_cache(maxsize=None)
@@ -203,21 +210,6 @@ def _sup_bessel_samples(r: int, sim: SimConfig, trims) -> dict:
     return out
 
 
-def _sup_bessel_entries(r: int, sim: SimConfig, trims, probs) -> "list[dict]":
-    samples = _sup_bessel_samples(r, sim, trims)
-    return [
-        {
-            "r": r,
-            "eps": eps,
-            **asdict(sim),
-            "quantiles": {
-                _PROB_FMT % p: float(np.quantile(samples[eps], p)) for p in sorted(set(probs))
-            },
-        }
-        for eps in trims
-    ]
-
-
 # ---------------------------------------------------------------------------
 # Cache
 
@@ -278,13 +270,12 @@ def write_cache(path, payload: dict) -> None:
     write_text_atomic(path, json.dumps(payload, indent=1, sort_keys=True))
 
 
-def _store(entry: dict) -> dict:
+def _store(entry: dict) -> None:
     key = _entry_key(entry)
     existing = _memory_cache.get(key)
     if existing is not None:
         entry = dict(entry, quantiles={**existing["quantiles"], **entry["quantiles"]})
     _memory_cache[key] = entry
-    return entry
 
 
 def clear_memory_cache() -> None:
@@ -324,18 +315,25 @@ def sup_bessel_critical(
         raise InputError("alpha must lie in (0, 1)")
     sim = sim or SimConfig()
     _load_packaged()
-    prob = 1.0 - alpha
-    pkey = _PROB_FMT % prob
+    pkey = _PROB_FMT % (1.0 - alpha)
     entry = _memory_cache.get(_entry_key({"r": r, "eps": eps, **asdict(sim)}))
     if entry is not None and pkey in entry["quantiles"]:
         return entry["quantiles"][pkey]
-    return _store(_sup_bessel_entries(r, sim, [eps], [prob])[0])["quantiles"][pkey]
+    return generate_tables(sim, [r], [eps], [alpha])["tables"][0]["quantiles"][pkey]
 
 
 def generate_tables(sim: SimConfig, orders, trims, alphas) -> dict:
-    """Simulate and store the sup-Bessel tables of a grid; returns the cache payload."""
-    bessel_probs = sorted({1.0 - a for a in alphas})
-    tables = [e for r in orders for e in _sup_bessel_entries(r, sim, trims, bessel_probs)]
-    for entry in tables:
-        _store(entry)
+    """Simulate and store the sup-Bessel tables of a grid, orders and alphas checked first; returns the cache payload."""
+    if any(r < 1 for r in orders):
+        raise InputError("Bessel orders must be >= 1")
+    if not all(0.0 < a < 1.0 for a in alphas):
+        raise InputError("--alphas must lie in (0, 1)")
+    probs = sorted({1.0 - a for a in alphas})
+    tables = []
+    for r in orders:
+        samples = _sup_bessel_samples(r, sim, trims)
+        for eps in trims:
+            quantiles = {_PROB_FMT % p: float(np.quantile(samples[eps], p)) for p in probs}
+            tables.append({"r": r, "eps": eps, **asdict(sim), "quantiles": quantiles})
+            _store(tables[-1])
     return {"schema_version": _CACHE_SCHEMA_VERSION, "tables": tables}

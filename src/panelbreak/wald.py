@@ -143,23 +143,22 @@ class WaldResult:
     excluded_dates: tuple = field(default_factory=tuple)
 
 
-def sup_wald(panel: PanelData, spec: BreakSpec, hac: HacConfig | None = None, alpha: float = 0.05,
-             sw_critical: float | None = None) -> WaldResult:
+def sup_wald(panel: PanelData, spec: BreakSpec, hac: HacConfig | None = None, alpha: float = 0.05) -> WaldResult:
     """Sup-Wald test over the trimmed set B'.
 
     A candidate failing the rank condition is excluded and flagged in
     ``excluded_dates``; it is an error only if every candidate fails.
-    ``sw_critical`` may be supplied to bypass the critical-value cache.
-    The fits come from the profile engine; ``wald_at`` is the reference
-    for each value.
+    The critical value is the (1 - alpha)-quantile of the sup-Bessel law
+    for the spec's r and trim, from ``sup_bessel_critical``. The fits come
+    from the profile engine; ``wald_at`` is the reference for each value.
     """
-    return _unwrap(_sup_wald(ProfileEngine([panel], spec), hac, alpha, sw_critical)[0])
+    return _unwrap(_sup_wald(ProfileEngine([panel], spec), hac, alpha)[0])
 
 
-def _sup_wald(engine: ProfileEngine, hac, alpha, sw_critical) -> list:
+def _sup_wald(engine: ProfileEngine, hac, alpha) -> list:
     """Each panel's sup-Wald result, or the error it raised, from the stack's TESTING fits.
 
-    The critical values are looked up once for the stack, and ``sw_critical`` only when None.
+    The critical values are looked up once for the stack.
     """
     spec, hac, t = engine.spec, hac or HacConfig(), engine.panels[0].n_periods
     if not (0.0 < alpha < 1.0):
@@ -168,8 +167,7 @@ def _sup_wald(engine: ProfileEngine, hac, alpha, sw_critical) -> list:
     if not candidates:
         empty = EmptyCandidateSet(f"trimmed candidate set is empty for T={t}, eps={spec.trim_fraction}")
         return [empty] * len(engine.panels)
-    if sw_critical is None:
-        sw_critical = sup_bessel_critical(spec.n_breaking, spec.trim_fraction, alpha)
+    sw_critical = sup_bessel_critical(spec.n_breaking, spec.trim_fraction, alpha)
     chi2_critical = chi_squared_quantile(spec.n_breaking, 1.0 - alpha)
     fast, rank_failures, reps = {}, {}, range(len(engine.panels))
     for fits in engine.fits(reps, [candidates] * len(reps), ProjectorMode.TESTING):
@@ -244,10 +242,10 @@ def sequential_breaks(
         start, stop, known = windows.pop()
         try:
             engine = ProfileEngine([panel if (start, stop) == whole else panel.slice_periods(start, stop)], spec)
-            wald = known if known is not None else _unwrap(_sup_wald(engine, hac, alpha, None)[0])
+            wald = known if known is not None else _unwrap(_sup_wald(engine, hac, alpha)[0])
             if not wald.reject_sw:
                 continue
-            fit = _break_fit(engine, alpha, None)
+            fit = _break_fit(engine, alpha)
         except StatisticalError:
             if (start, stop) == whole:
                 raise

@@ -328,5 +328,19 @@ def cce_fit_calls(monkeypatch):
 
 
 @pytest.fixture
+def pin_critical_values(monkeypatch):
+    """``pin(c_alpha=None, sw=None)`` makes the interval read ``c_alpha`` and the sup-Wald test ``sw``
+    as their critical value, in place of the argmax and sup-Bessel lookups."""
+
+    def pin(c_alpha=None, sw=None):
+        if c_alpha is not None:
+            monkeypatch.setattr(estimator, "argmax_quantile", lambda prob: c_alpha)
+        if sw is not None:
+            monkeypatch.setattr(wald, "sup_bessel_critical", lambda r, eps, alpha: sw)
+
+    return pin
+
+
+@pytest.fixture
 def rng():
     return np.random.default_rng(20240517)

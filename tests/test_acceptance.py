@@ -82,7 +82,7 @@ class TestAcceptance:
             # A moderate break keeps the N=50 hit rate off its ceiling
             # so the monotone improvement is visible.
             cfg = DgpConfig(n_units=n, n_periods=10, b0=5, delta=(0.35,), seed=202)
-            rep = run_experiment(cfg, "ESTIMATE", reps=200, c_alpha=11.1)
+            rep = run_experiment(cfg, "ESTIMATE", reps=200)
             rates.append(rep.metrics["exact_hit_rate"][0])
         elapsed = time.time() - start
         ok = rates == sorted(rates) and rates[-1] >= 0.9 and elapsed < 300

@@ -362,7 +362,7 @@ class TestTables:
 
     @pytest.mark.parametrize(
         "flag, value",
-        [("--alphas", "1.5"), ("--alphas", "abc"), ("--alphas", "0"), ("--orders", "1.5")],
+        [("--alphas", "1.5"), ("--alphas", "abc"), ("--alphas", "0"), ("--orders", "1.5"), ("--seed", "-1")],
     )
     def test_malformed_list_is_usage_error(self, capsys, tmp_path, monkeypatch, flag, value):
         def fail(*args):

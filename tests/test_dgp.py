@@ -54,6 +54,7 @@ class TestConfig:
             dict(factor_rho=1.0),  # not stationary
             dict(eps_variance_range=(1.0,)),
             dict(beta=(1.0, float("nan"))),
+            dict(n_known=-2),
         ],
     )
     def test_invariants(self, bad):
@@ -131,8 +132,6 @@ class TestRunExperiment:
             DgpConfig(n_units=50, seed=5),
             pipeline="FULL",
             reps=3,
-            c_alpha=11.0,
-            sw_critical=8.85,
         )
         assert report.replications == 3
         assert report.n_errors == 0
@@ -147,21 +146,17 @@ class TestRunExperiment:
             assert np.isfinite(value) and se >= 0.0
 
     def test_estimate_only_has_no_rejection_metric(self):
-        report = run_experiment(
-            DgpConfig(n_units=30, seed=5), pipeline="ESTIMATE", reps=2, c_alpha=11.0
-        )
+        report = run_experiment(DgpConfig(n_units=30, seed=5), pipeline="ESTIMATE", reps=2)
         assert "rejection_rate" not in report.metrics
 
     def test_deterministic(self):
         cfg = DgpConfig(n_units=30, seed=9)
-        r1 = run_experiment(cfg, "ESTIMATE", reps=4, c_alpha=11.0)
-        r2 = run_experiment(cfg, "ESTIMATE", reps=4, c_alpha=11.0)
+        r1 = run_experiment(cfg, "ESTIMATE", reps=4)
+        r2 = run_experiment(cfg, "ESTIMATE", reps=4)
         assert r1.metrics == r2.metrics
 
     def test_report_serialization(self):
-        report = run_experiment(
-            DgpConfig(n_units=30, seed=5), "ESTIMATE", reps=2, c_alpha=11.0
-        )
+        report = run_experiment(DgpConfig(n_units=30, seed=5), "ESTIMATE", reps=2)
         assert json.loads(json.dumps(report.to_dict())) == report.to_dict()
         assert "exact_hit_rate" in report.to_dict()["metrics"]
 
@@ -179,7 +174,7 @@ class TestRunExperiment:
             seed=0,
         )
         with pytest.raises(ExperimentError):
-            run_experiment(cfg, "TEST", reps=5, sw_critical=8.85)
+            run_experiment(cfg, "TEST", reps=5)
 
     def test_no_reference_refit_per_replication(self, cce_fit_calls):
         # The interval reuses the SSR profile's argmin fit, and the testing
@@ -230,23 +225,26 @@ class TestRunExperiment:
         ("ESTIMATE", 1.0, {}, None),
         ("ESTIMATE", 0.0, {"c_alpha": 11.0}, "(0, 1]"),
         ("TEST", 1.0, {}, "(0, 1)"),
-        ("TEST", 1.0, {"sw_critical": 8.85}, "(0, 1)"),
+        ("TEST", 1.0, {"sw": 8.85}, "(0, 1)"),
         ("TEST", 0.0, {}, "(0, 1)"),
         ("FULL", 1.0, {}, "(0, 1)"),
         ("FULL", -1.0, {}, "(0, 1)"),
         ("FULL", float("nan"), {}, "(0, 1)"),
     ])
-    def test_alpha_range_is_checked_by_its_stage(self, monkeypatch, pipeline, alpha, kwargs, error):
+    def test_alpha_range_is_checked_by_its_stage(self, monkeypatch, pin_critical_values, pipeline, alpha, kwargs,
+                                                 error):
+        # ``kwargs`` pins a critical value: the stage checks alpha all the same.
+        pin_critical_values(**kwargs)
         scored = []
         rate = dgp._rate
         monkeypatch.setattr(dgp, "_rate", lambda flags: scored.append(flags) or rate(flags))
         config = DgpConfig(n_units=30, seed=5)
         if error is None:
-            assert run_experiment(config, pipeline, reps=2, alpha=alpha, **kwargs).n_errors == 0
+            assert run_experiment(config, pipeline, reps=2, alpha=alpha).n_errors == 0
             assert scored
             return
         with pytest.raises(InputError) as raised:
-            run_experiment(config, pipeline, reps=2, alpha=alpha, **kwargs)
+            run_experiment(config, pipeline, reps=2, alpha=alpha)
         assert str(raised.value) == f"alpha must lie in {error}" and scored == []
 
 
@@ -283,8 +281,8 @@ def _stages(engine):
     """Each panel's interval stage, test stage and TESTING fit at b = 5, in that order."""
     n = len(engine.panels)
     return list(zip(
-        estimator._intervals(engine, 0.05, 11.0),
-        wald._sup_wald(engine, None, 0.05, 8.85),
+        estimator._intervals(engine, 0.05),
+        wald._sup_wald(engine, None, 0.05),
         engine.fit(range(n), [5] * n, estimator.ProjectorMode.TESTING),
     ))
 
@@ -303,12 +301,12 @@ def test_each_stack_member_gets_what_it_gets_alone():
 @pytest.mark.parametrize("reps", [1, 24, 25, 26, 51])
 def test_stacked_experiment_is_the_replications_one_at_a_time(reps):
     config = DgpConfig(n_units=50, n_periods=10, b0=5, delta=(0.35,), seed=7)
-    spec, c_alpha, sw_critical = config.break_spec(), 11.0, 8.85
+    spec = config.break_spec()
     hits, abs_errors, covered, widths, rejections = [], [], [], [], []
     for seed in np.random.SeedSequence(config.seed).spawn(reps):
         panel = generate(config, seed=seed)[0]
-        fit = fit_break(panel, spec, 0.05, c_alpha)
-        result = sup_wald(panel, spec, alpha=0.05, sw_critical=sw_critical)
+        fit = fit_break(panel, spec, 0.05)
+        result = sup_wald(panel, spec, alpha=0.05)
         hits.append(fit.b_hat == config.b0)
         abs_errors.append(abs(fit.b_hat - config.b0))
         covered.append(fit.ci_lower <= config.b0 <= fit.ci_upper)
@@ -321,7 +319,7 @@ def test_stacked_experiment_is_the_replications_one_at_a_time(reps):
         "ci_mean_width": dgp._mean(widths),
         "rejection_rate": dgp._rate(rejections),
     }
-    report = run_experiment(config, "FULL", reps=reps, c_alpha=c_alpha, sw_critical=sw_critical)
+    report = run_experiment(config, "FULL", reps=reps)
     assert report.to_dict() == dgp.ExperimentReport(reps, "FULL", metrics, 0).to_dict()
 
 
@@ -340,7 +338,7 @@ def test_seeds_are_spawned_a_stack_at_a_time(monkeypatch):
         tracemalloc.start()
         try:
             with pytest.raises(FirstStack):
-                run_experiment(config, "FULL", reps=reps, c_alpha=11.0, sw_critical=8.85)
+                run_experiment(config, "FULL", reps=reps)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

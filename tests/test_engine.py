@@ -84,7 +84,7 @@ def assert_profile_matches(panel, spec):
 
 
 def assert_sup_wald_matches(panel, spec, hac=HacConfig()):
-    got, got_err = outcome(sup_wald, panel, spec, hac, sw_critical=5.0)
+    got, got_err = outcome(sup_wald, panel, spec, hac)
     want, want_err = outcome(reference_sup_wald, panel, spec, hac)
     assert got_err == want_err
     if want_err is None:
@@ -155,7 +155,7 @@ class TestAdversarialPanels:
         y = x @ np.ones(2) + rng.standard_normal((8, 12))
         panel = PanelData(y=y, x=x)
         spec = BreakSpec.from_indices(2, [1])
-        _, err = outcome(sup_wald, panel, spec, sw_critical=1.0)
+        _, err = outcome(sup_wald, panel, spec)
         assert err is not None and err[0] is RankConditionFailure
         assert_sup_wald_matches(panel, spec)
         assert_profile_matches(panel, spec)
@@ -200,7 +200,7 @@ class TestAdversarialPanels:
         assert_profile_matches(panel, spec)
         _, err = outcome(estimate_breakpoint, panel, spec)
         assert err == (RankDeficientDesign, "partialled break regressors have rank 0 < r=1 at b=8")
-        assert outcome(fit_break, panel, spec, c_alpha=11.0)[1] == err
+        assert outcome(fit_break, panel, spec)[1] == err
 
     def test_strong_factors(self):
         # Factors that explain almost all of y and X: F(b)'F(b) - (Q_b'F)'(Q_b'F)
@@ -226,8 +226,8 @@ class TestDeterminism:
         spec = BreakSpec.from_indices(2, [1])
 
         def run():
-            fit = fit_break(panel, spec, c_alpha=11.0)
-            wald = sup_wald(panel, spec, sw_critical=8.85)
+            fit = fit_break(panel, spec)
+            wald = sup_wald(panel, spec)
             return b"".join(
                 np.asarray(a, dtype=float).tobytes()
                 for a in (

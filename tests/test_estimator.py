@@ -339,7 +339,7 @@ class TestFitBreak:
         # Add mild noise so the covariance pieces are nondegenerate.
         y = panel.y + 0.05 * rng.standard_normal(panel.y.shape)
         panel = PanelData(y=y, x=panel.x.copy())
-        fit = fit_break(panel, spec, alpha=0.05, c_alpha=11.0)
+        fit = fit_break(panel, spec, alpha=0.05)
         assert fit.b_hat == 7
         assert fit.ci_lower <= fit.b_hat <= fit.ci_upper
         assert 1 <= fit.ci_lower and fit.ci_upper <= panel.n_periods - 1
@@ -387,7 +387,7 @@ def test_estimate_breakpoint_makes_no_argmin_fit(rng, monkeypatch):
     monkeypatch.setattr(estimator, "FitStack", refuse)
     assert estimate_breakpoint(panel, spec).b_hat == 7
     with pytest.raises(AssertionError, match="argmin fit built"):
-        fit_break(panel, spec, c_alpha=11.0)
+        fit_break(panel, spec)
 
 
 class TestCarriedFit:
@@ -400,7 +400,8 @@ class TestCarriedFit:
         except StatisticalError as err:
             return None, (type(err), str(err))
 
-    def test_carried_fit_is_the_reference_fit(self, rng):
+    def test_carried_fit_is_the_reference_fit(self, rng, pin_critical_values):
+        pin_critical_values(c_alpha=11.0)
         cases = [(panel, spec) for panel, spec, _ in acceptance_01_cases()]
         cases += [exact_break_panel(rng, n=10, t=20, b0=10), exact_tie_panel(rng)]
         fitted = 0
@@ -419,7 +420,7 @@ class TestCarriedFit:
             np.testing.assert_allclose(got[1].delta, reference.delta, rtol=1e-10, atol=0.0)
             np.testing.assert_allclose(got[2][2], sigma_i, rtol=1e-10, atol=0.0)
             # fit_break passes the same fit on; it fails where TESTING at b_hat is rank-deficient.
-            fit, err = self.outcome(fit_break, panel, spec, 0.05, 11.0)
+            fit, err = self.outcome(fit_break, panel, spec, 0.05)
             if err is None:
                 assert (fit.b_hat, fit.ci_lower, fit.ci_upper, fit.ci_clamped) == (b_hat, *want[0])
                 np.testing.assert_allclose(fit.delta_hat, reference.delta, rtol=1e-10, atol=0.0)
@@ -431,7 +432,7 @@ class TestCarriedFit:
     def test_guard_decided_argmin_keeps_its_fit(self, rng, make):
         # A near-exact fit and a tied minimum are scored by cce_fit, whose fit is kept.
         panel, spec = make(rng)
-        fit = fit_break(panel, spec, c_alpha=11.0)
+        fit = fit_break(panel, spec)
         reference = cce_fit(panel, spec, fit.b_hat, ProjectorMode.ESTIMATION)
         assert np.array_equal(fit.delta_hat, reference.delta)
         assert np.array_equal(fit.sigma_eps_i, moment_estimates(panel, reference)[2])
@@ -456,7 +457,7 @@ def test_strong_factors_send_no_more_dates_to_cce_fit(cce_fit_calls, scale, n_es
     assert estimate_breakpoint(panel, spec).b_hat == 120
     assert len(cce_fit_calls) == n_estimation
     cce_fit_calls.clear()
-    assert sup_wald(panel, spec, sw_critical=8.85).argmax_date == 120
+    assert sup_wald(panel, spec).argmax_date == 120
     assert len(cce_fit_calls) == n_testing
 
 

@@ -575,3 +575,10 @@ class TestKeyValueConfig:
         path.write_text("n_units 50\n")
         with pytest.raises(InputError):
             read_keyvalue_config(path)
+
+    def test_a_key_named_twice_is_refused_at_its_second_line(self, tmp_path):
+        path = tmp_path / "cfg"
+        path.write_text("reps = 3\n# more\nreps= 7\n")
+        with pytest.raises(InputError) as err:
+            read_keyvalue_config(path)
+        assert str(err.value) == f"{path}:3: key 'reps' is named more than once"

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2, norm
 
-from panelbreak import SimConfig, argmax_quantile, sup_bessel_critical
+from panelbreak import SimConfig, argmax_quantile, limits, sup_bessel_critical
 from panelbreak.exceptions import InputError
 from panelbreak.limits import (
     DEFAULT_ALPHAS,
@@ -19,6 +19,7 @@ from panelbreak.limits import (
     argmax_cdf,
     chi_squared_quantile,
     dump_tables,
+    generate_tables,
     load_tables,
     write_cache,
 )
@@ -77,7 +78,8 @@ class TestPackagedTables:
     def test_chi_squared_oracle(self):
         for r in range(1, 7):
             assert chi_squared_quantile(r, 0.5) == pytest.approx(chi2.ppf(0.5, r), rel=1e-13, abs=0.0)
-            for p in (0.9, 0.95, 0.975, 0.99, 0.995, 0.999):
+            # Below the median the quantile inverts the CDF, a series of positive terms: 1 - survival would cancel.
+            for p in (1e-6, 1e-3, 0.01, 0.1, 0.3, 0.49, 0.9, 0.95, 0.975, 0.99, 0.995, 0.999):
                 want = chi2.ppf(p, r)
                 assert abs(chi_squared_quantile(r, p) - want) <= 32 * np.spacing(want), (r, p)
 
@@ -249,5 +251,23 @@ class TestDomains:
             SimConfig(n_paths=0)
         with pytest.raises(InputError):
             SimConfig(grid_points=5)
+        with pytest.raises(InputError, match=r"^seed must be >= 0$"):  # not numpy's bare ValueError
+            SimConfig(seed=-1)
         with pytest.raises(InputError, match="tau grid too coarse"):
             sup_bessel_critical(1, 0.45, 0.05, SimConfig(n_paths=10, grid_points=10))
+
+    @pytest.mark.parametrize("orders, alphas, message", [
+        ([0], [0.05], "Bessel orders must be >= 1"),
+        ([1, 0], [0.05], "Bessel orders must be >= 1"),
+        ([1], [1.5], r"--alphas must lie in \(0, 1\)"),
+        ([1], [0.05, 0.0], r"--alphas must lie in \(0, 1\)"),
+    ])
+    def test_generate_tables_checks_before_simulating(self, monkeypatch, orders, alphas, message):
+        def fail(*args):
+            raise AssertionError("simulated before validating")
+
+        monkeypatch.setattr(limits, "_sup_bessel_samples", fail)
+        stored = dump_tables()["tables"]
+        with pytest.raises(InputError, match=message):
+            generate_tables(SimConfig(n_paths=50), orders, [0.15], alphas)
+        assert dump_tables()["tables"] == stored

@@ -80,7 +80,7 @@ class TestWaldStatistic:
 
     def test_noise_free_break_rejects_at_true_date(self, rng):
         panel, spec = exact_break_panel(rng, n=10, t=20, b0=10)
-        result = sup_wald(panel, spec, sw_critical=10.0)
+        result = sup_wald(panel, spec)
         assert result.reject_sw
         assert result.argmax_date == 10
         assert result.sw == np.inf
@@ -159,7 +159,7 @@ class TestSupWald:
     def test_profile_structure(self, rng):
         panel = random_panel(rng, n=15, t=20, k=2)
         spec = BreakSpec.from_indices(2, [1], trim_fraction=0.15)
-        result = sup_wald(panel, spec, sw_critical=8.85)
+        result = sup_wald(panel, spec)
         assert result.candidate_dates == tuple(trimmed_candidates(spec, 20))
         assert result.sw == max(result.wald_values)
         assert result.argmax_date in result.candidate_dates
@@ -168,13 +168,13 @@ class TestSupWald:
 
     def test_empty_candidates_raise(self, rng):
         with pytest.raises(EmptyCandidateSet):
-            sup_wald(*empty_candidates_case(rng), sw_critical=1.0)
+            sup_wald(*empty_candidates_case(rng))
 
     def test_alpha_domain(self, rng):
         panel = random_panel(rng, n=5, t=12, k=2)
         spec = BreakSpec.from_indices(2, [0])
         with pytest.raises(InputError):
-            sup_wald(panel, spec, alpha=1.0, sw_critical=1.0)
+            sup_wald(panel, spec, alpha=1.0)
 
     def test_critical_value_is_looked_up_once_per_stack(self, rng, monkeypatch):
         calls = []
@@ -182,13 +182,13 @@ class TestSupWald:
         monkeypatch.setattr(wald, "sup_bessel_critical", lambda *args: calls.append(args) or lookup(*args))
         spec = BreakSpec.from_indices(2, [1])
         engine = estimator.ProfileEngine([random_panel(rng, n=15, t=20, k=2) for _ in range(5)], spec)
-        results = wald._sup_wald(engine, None, 0.05, None)
+        results = wald._sup_wald(engine, None, 0.05)
         assert calls == [(1, 0.15, 0.05)]
         assert {result.sw_critical for result in results} == {lookup(1, 0.15, 0.05)}
 
     def test_all_candidates_failing_raise(self, rng):
         with pytest.raises(RankConditionFailure):
-            sup_wald(*all_candidates_failing_case(rng), sw_critical=1.0)
+            sup_wald(*all_candidates_failing_case(rng))
 
 
 class TestChunking:
@@ -207,7 +207,7 @@ class TestChunking:
             out = []
             for panel, spec, hac in cases:
                 try:
-                    result = sup_wald(panel, spec, hac, sw_critical=5.0)
+                    result = sup_wald(panel, spec, hac)
                 except StatisticalError as err:
                     out.append((type(err), str(err)))
                     continue
@@ -241,7 +241,7 @@ class TestMemory:
             if len(breaks) > 1:
                 assert [br.fit.b_hat for br in sequential_breaks(panel, spec, alpha=0.01)] == list(breaks)
             else:
-                sup_wald(panel, spec, sw_critical=8.85)
+                sup_wald(panel, spec)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -284,7 +284,7 @@ class TestRankExclusion:
             reference_dates.clear()
             decisions.clear()
             try:
-                result = sup_wald(panel, spec, hac, sw_critical=5.0)
+                result = sup_wald(panel, spec, hac)
                 excluded = set(result.excluded_dates)
             except RankConditionFailure:
                 excluded = set(trimmed_candidates(spec, panel.n_periods))
